@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import FormatError, NotNerveShapedError, ValidationError
-from .fincat import FinCat, Morphism, category_violations, validate_category
+from .errors import BudgetExceededError, FormatError, NotNerveShapedError, ValidationError
+from .fincat import FinCat, Morphism, category_violations, search_budget, validate_category
 from .magnitude import EulerResult, euler_char
 
 DEFAULT_DIM = 4
@@ -39,6 +40,24 @@ class TruncatedSSet:
 
     def counts(self) -> list[int]:
         return [len(lvl) for lvl in self.simplices]
+
+    @cached_property
+    def face_index(self) -> dict[tuple[int, int], dict[str, tuple[str, ...]]]:
+        """face_index[(n, i)][x] lists the level-n simplices whose i-th face
+        is x, in level order.
+
+        Built on first use and kept on the instance; it is not a field, so
+        equality, repr and JSON interchange ignore it.
+        """
+        index = {}
+        for n in range(1, self.dim + 1):
+            for i in range(n + 1):
+                table = self.face[(n, i)]
+                buckets: dict[str, list[str]] = {}
+                for s in self.simplices[n]:
+                    buckets.setdefault(table[s], []).append(s)
+                index[(n, i)] = {x: tuple(b) for x, b in buckets.items()}
+        return index
 
 
 def _required_keys(dim: int):
@@ -185,45 +204,9 @@ def _tuple_id(t) -> str:
     return "|".join(str(x) for x in t)
 
 
-def standard_simplex(n: int, dim: int = DEFAULT_DIM) -> TruncatedSSet:
-    """Level m holds the monotone (m+1)-tuples over {0..n}."""
-    if n < 0:
-        raise ValueError("simplex dimension must be nonnegative")
-    levels = [
-        list(itertools.combinations_with_replacement(range(n + 1), m + 1))
-        for m in range(dim + 1)
-    ]
-    simplices = tuple(tuple(_tuple_id(t) for t in lvl) for lvl in levels)
-    face = {}
-    for m in range(1, dim + 1):
-        for i in range(m + 1):
-            face[(m, i)] = {_tuple_id(t): _tuple_id(t[:i] + t[i + 1:]) for t in levels[m]}
-    degeneracy = {}
-    for m in range(dim):
-        for i in range(m + 1):
-            degeneracy[(m, i)] = {
-                _tuple_id(t): _tuple_id(t[: i + 1] + t[i:]) for t in levels[m]
-            }
-    return validate_sset(dim, simplices, face, degeneracy)
-
-
-def horn(n: int, k: int, dim: int = DEFAULT_DIM) -> TruncatedSSet:
-    """Part of the standard n-simplex away from the face opposite vertex k.
-
-    A monotone tuple survives exactly when its image together with {k}
-    is not all of {0..n}.
-    """
-    if n < 1:
-        raise ValueError("horns need n >= 1")
-    if not 0 <= k <= n:
-        raise ValueError("horn index out of range")
-    if dim < n - 1:
-        raise ValueError("truncation must keep at least the walls, dim >= n - 1")
-    full = set(range(n + 1))
-
-    def keep(t) -> bool:
-        return set(t) | {k} != full
-
+def _monotone_sset(n: int, dim: int, keep) -> TruncatedSSet:
+    """The monotone tuples over {0..n} that pass `keep`, level m holding the
+    (m+1)-tuples; faces drop an entry, degeneracies repeat one."""
     levels = [
         [t for t in itertools.combinations_with_replacement(range(n + 1), m + 1) if keep(t)]
         for m in range(dim + 1)
@@ -240,6 +223,29 @@ def horn(n: int, k: int, dim: int = DEFAULT_DIM) -> TruncatedSSet:
                 _tuple_id(t): _tuple_id(t[: i + 1] + t[i:]) for t in levels[m]
             }
     return validate_sset(dim, simplices, face, degeneracy)
+
+
+def standard_simplex(n: int, dim: int = DEFAULT_DIM) -> TruncatedSSet:
+    """Level m holds the monotone (m+1)-tuples over {0..n}."""
+    if n < 0:
+        raise ValueError("simplex dimension must be nonnegative")
+    return _monotone_sset(n, dim, lambda t: True)
+
+
+def horn(n: int, k: int, dim: int = DEFAULT_DIM) -> TruncatedSSet:
+    """Part of the standard n-simplex away from the face opposite vertex k.
+
+    A monotone tuple survives exactly when its image together with {k}
+    is not all of {0..n}.
+    """
+    if n < 1:
+        raise ValueError("horns need n >= 1")
+    if not 0 <= k <= n:
+        raise ValueError("horn index out of range")
+    if dim < n - 1:
+        raise ValueError("truncation must keep at least the walls, dim >= n - 1")
+    full = set(range(n + 1))
+    return _monotone_sset(n, dim, lambda t: set(t) | {k} != full)
 
 
 def nerve(cat: FinCat, dim: int = DEFAULT_DIM) -> TruncatedSSet:
@@ -322,50 +328,89 @@ class HornInstance:
     faces: dict[int, str]
 
 
+def _matching(level, checks) -> list[str]:
+    """The simplices s of `level` with d_i s = want for every (d_i, index
+    of d_i, want) in checks, in level order: the smallest index bucket,
+    filtered by the other checks."""
+    bucket = level
+    for _, by_face, want in checks:
+        found = by_face.get(want, ())
+        if len(found) < len(bucket):
+            bucket = found
+    out = []
+    for s in bucket:
+        for d_i, _, want in checks:
+            if d_i[s] != want:
+                break
+        else:
+            out.append(s)
+    return out
+
+
 def enumerate_inner_horns(sset: TruncatedSSet, n: int, k: int) -> list[HornInstance]:
-    """All (n, k)-horn instances in the structure, inner positions only."""
+    """All (n, k)-horn instances in the structure, inner positions only.
+
+    Faces are chosen position by position.  A face s at position j fits
+    the face chosen at an earlier position i exactly when d_i s equals
+    d_{j-1} of that face, so the candidates at j are read from the face
+    index: the smallest of those buckets, filtered by the others, which
+    keeps level order.  Every call of the search counts as one node
+    against EULERKIT_BUDGET (see fincat.search_budget); past it the
+    search raises BudgetExceededError.
+    """
     if not 2 <= n <= sset.dim:
         raise ValueError("horn level must satisfy 2 <= n <= dim")
     if not 0 < k < n:
         raise ValueError("inner horns need 0 < k < n")
+    limit = search_budget()
     positions = [i for i in range(n + 1) if i != k]
-    candidates = sset.level(n - 1)
+    level = sset.level(n - 1)
+    # per position j: (d_{j-1}, d_i, index of d_i) for each earlier position i
+    face, index = sset.face, sset.face_index
+    steps = [
+        [
+            (face[(n - 1, j - 1)], face[(n - 1, i)], index[(n - 1, i)])
+            for i in positions[:idx]
+        ]
+        for idx, j in enumerate(positions)
+    ]
     out: list[HornInstance] = []
+    chosen: list[str] = []
+    nodes = 0
 
-    def compatible(faces, j, s) -> bool:
-        for i in faces:
-            if i < j:
-                if sset.face[(n - 1, i)][s] != sset.face[(n - 1, j - 1)][faces[i]]:
-                    return False
-            else:
-                if sset.face[(n - 1, j)][faces[i]] != sset.face[(n - 1, i - 1)][s]:
-                    return False
-        return True
-
-    def extend(idx, faces):
+    def extend(idx):
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceededError(limit)
         if idx == len(positions):
-            out.append(HornInstance(n, k, dict(faces)))
+            out.append(HornInstance(n, k, dict(zip(positions, chosen))))
             return
-        j = positions[idx]
-        for s in candidates:
-            if compatible(faces, j, s):
-                faces[j] = s
-                extend(idx + 1, faces)
-                del faces[j]
+        checks = [
+            (d_i, by_face, d_j[earlier])
+            for (d_j, d_i, by_face), earlier in zip(steps[idx], chosen)
+        ]
+        for s in _matching(level, checks):
+            chosen.append(s)
+            extend(idx + 1)
+            chosen.pop()
 
-    extend(0, {})
+    extend(0)
     return out
 
 
 def fillers(sset: TruncatedSSet, instance: HornInstance) -> list[str]:
-    return [
-        s
-        for s in sset.level(instance.n)
-        if all(
-            sset.face[(instance.n, i)][s] == want
-            for i, want in instance.faces.items()
-        )
+    """The level-n simplices whose faces match the instance, in level order.
+
+    Candidates are the smallest face-index bucket among the instance's
+    faces, filtered by the rest.
+    """
+    n = instance.n
+    checks = [
+        (sset.face[(n, i)], sset.face_index[(n, i)], want)
+        for i, want in instance.faces.items()
     ]
+    return _matching(sset.level(n), checks)
 
 
 @dataclass(frozen=True)

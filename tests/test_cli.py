@@ -245,6 +245,15 @@ def test_budget_env_is_checked(tmp_path, capsys, monkeypatch):
     assert main(["equivalent", thick, arrow]) == 3
 
 
+def test_budget_caps_horn_enumeration(tmp_path, capsys, monkeypatch):
+    ner = _write(tmp_path, "nerve.json", sset_to_json(nerve(catalog.chain(3), 3)))
+    monkeypatch.setenv("EULERKIT_BUDGET", "1")
+    assert main(["horncheck", ner]) == 3
+    captured = capsys.readouterr()
+    assert "search budget of 1 nodes exceeded" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def _declared_script(name):
     """The `module:function` target of console script `name` in pyproject.toml.
 

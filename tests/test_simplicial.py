@@ -1,11 +1,13 @@
 """Truncated simplicial structures, horns, nerves, reconstruction."""
 
 import copy
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from eulerkit import (
+    BudgetExceededError,
     FormatError,
     NotNerveShapedError,
     ValidationError,
@@ -225,3 +227,84 @@ def test_chi_respects_sums_and_products():
     prod = sset_product(nerve(a, 2), nerve(a, 2))
     assert classify_sset(prod) == "nerve"
     assert chi_sset(prod).value == euler_char(product(a, a)).value
+
+
+# --- face index against a scan ---------------------------------------------------
+
+
+def _holed_z2():
+    doc = _z2_nerve_doc()
+    doc["simplices"]["2"].remove("g1|g1")
+    for i in range(3):
+        del doc["faces"][f"2,{i}"]["g1|g1"]
+    return sset_from_json(doc)
+
+
+def _duplicated_z2():
+    doc = _z2_nerve_doc()
+    doc["simplices"]["2"].append("dup")
+    doc["faces"]["2,0"]["dup"] = "g1"
+    doc["faces"]["2,1"]["dup"] = "g0"
+    doc["faces"]["2,2"]["dup"] = "g1"
+    return sset_from_json(doc)
+
+
+def _scan_horns(sset, n, k):
+    """Face families over level n-1, extended one position at a time by a
+    product with the whole level, kept when every pair satisfies
+    d_i x_j = d_{j-1} x_i (i < j)."""
+    positions = [i for i in range(n + 1) if i != k]
+    families = [{}]
+    for j in positions:
+        families = [
+            {**fam, j: s}
+            for fam, s in itertools.product(families, sset.level(n - 1))
+            if all(
+                sset.face[(n - 1, i)][s] == sset.face[(n - 1, j - 1)][fam[i]]
+                for i in fam
+            )
+        ]
+    return families
+
+
+def _scan_fillers(sset, inst):
+    return [
+        s
+        for s in sset.level(inst.n)
+        if all(sset.face[(inst.n, i)][s] == want for i, want in inst.faces.items())
+    ]
+
+
+def test_indexed_horns_and_fillers_match_a_scan():
+    for sset in (
+        horn(3, 1, 3),
+        horn(4, 2, 4),
+        standard_simplex(2, 4),
+        _holed_z2(),
+        _duplicated_z2(),
+    ):
+        for n in range(2, sset.dim + 1):
+            for k in range(1, n):
+                got = enumerate_inner_horns(sset, n, k)
+                assert [(i.n, i.k) for i in got] == [(n, k)] * len(got)
+                assert [i.faces for i in got] == _scan_horns(sset, n, k), (n, k)
+                for inst in got:
+                    assert fillers(sset, inst) == _scan_fillers(sset, inst)
+
+
+def test_face_index_leaves_equality_and_json_alone():
+    for sset in (nerve(catalog.cyclic_group(2), 3), horn(3, 1, 3), _duplicated_z2()):
+        fresh, text = sset_from_json(sset_to_json(sset)), repr(sset)
+        filler_report(sset)
+        assert "face_index" in vars(sset)
+        assert sset_from_json(sset_to_json(sset)) == sset == fresh
+        assert repr(sset) == text
+
+
+def test_horn_enumeration_runs_under_the_budget(monkeypatch):
+    ner = nerve(catalog.chain(3), 3)
+    monkeypatch.setenv("EULERKIT_BUDGET", "2")
+    with pytest.raises(BudgetExceededError):
+        enumerate_inner_horns(ner, 3, 1)
+    monkeypatch.delenv("EULERKIT_BUDGET")
+    assert len(enumerate_inner_horns(ner, 3, 1)) == path_totals(catalog.chain(3), 3)[3]
