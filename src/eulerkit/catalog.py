@@ -35,7 +35,7 @@ def codiscrete(n: int) -> FinCat:
     """n objects with exactly one morphism in every direction; all iso."""
     objects = tuple(f"x{i}" for i in range(n))
     morphisms = tuple(
-        Morphism(f"u{i}{j}", i, j) for i in range(n) for j in range(n)
+        Morphism(f"u{i}_{j}", i, j) for i in range(n) for j in range(n)
     )
     identity = tuple(i * n + i for i in range(n))
     comp = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from functools import partial
 
 from .errors import (
     BudgetExceededError,
@@ -36,8 +36,14 @@ from .higher import (
     datum_from_json,
     internal_equiv_classes,
 )
-from .magnitude import adjacency, euler_char, euler_of_matrix
-from .qlinalg import QMatrix, format_rational, solve_affine, transpose
+from .magnitude import (
+    adjacency,
+    coweighting_solution,
+    euler_char,
+    euler_of_matrix,
+    weighting_solution,
+)
+from .qlinalg import QMatrix, format_rational
 from .simplicial import (
     DEFAULT_DIM,
     classify_sset,
@@ -100,23 +106,25 @@ def _chi_report(res, show_witness: bool) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    category_from_json(_load_json(args.path))
+def _category(path: str):
+    return category_from_json(_load_json(path))
+
+
+def _cmd_validate(load, args) -> int:
+    load(_load_json(args.path))
     print("valid")
     return 0
 
 
-def _cmd_chi(args) -> int:
-    m = adjacency(category_from_json(_load_json(args.path))).matrix
+def _cmd_chi(matrix_of, args) -> int:
+    m = matrix_of(_load_json(args.path))
     if args.matrix:
         print(_matrix_text(m))
     return _chi_report(euler_of_matrix(m), args.witness)
 
 
-def _cmd_side(args, transposed: bool) -> int:
-    m = adjacency(category_from_json(_load_json(args.path))).matrix
-    name = "coweighting" if transposed else "weighting"
-    sol = solve_affine(transpose(m) if transposed else m, tuple([Fraction(1)] * m.rows))
+def _cmd_side(solve, name, args) -> int:
+    sol = solve(adjacency(_category(args.path)).matrix)
     if not sol.consistent:
         print(f"no {name} exists")
         return 2
@@ -124,43 +132,16 @@ def _cmd_side(args, transposed: bool) -> int:
     return 0
 
 
-def _cmd_opposite(args) -> int:
-    _emit_json(category_to_json(opposite(category_from_json(_load_json(args.path)))), args)
-    return 0
-
-
-def _cmd_skeleton(args) -> int:
-    _emit_json(category_to_json(skeleton(category_from_json(_load_json(args.path)))), args)
-    return 0
-
-
-def _cmd_product(args) -> int:
-    a = category_from_json(_load_json(args.path_a))
-    b = category_from_json(_load_json(args.path_b))
-    _emit_json(category_to_json(product(a, b)), args)
-    return 0
-
-
-def _cmd_coproduct(args) -> int:
-    a = category_from_json(_load_json(args.path_a))
-    b = category_from_json(_load_json(args.path_b))
-    _emit_json(category_to_json(coproduct(a, b)), args)
+def _cmd_construct(build, args) -> int:
+    paths = [args.path] if "path" in args else [args.path_a, args.path_b]
+    _emit_json(category_to_json(build(*map(_category, paths))), args)
     return 0
 
 
 def _cmd_equivalent(args) -> int:
-    a = category_from_json(_load_json(args.path_a))
-    b = category_from_json(_load_json(args.path_b))
+    a, b = _category(args.path_a), _category(args.path_b)
     print(f"equivalent = {'true' if equivalent(a, b) else 'false'}")
     return 0
-
-
-def _cmd_chi_bicat(args) -> int:
-    bicat = bicat_from_json(_load_json(args.path))
-    m = bicat_adjacency(bicat)
-    if args.matrix:
-        print(_matrix_text(m))
-    return _chi_report(euler_of_matrix(m), args.witness)
 
 
 def _cmd_chi_n(args) -> int:
@@ -178,14 +159,7 @@ def _cmd_internal_classes(args) -> int:
 
 
 def _cmd_nerve(args) -> int:
-    cat = category_from_json(_load_json(args.path))
-    _emit_json(sset_to_json(nerve(cat, args.dim)), args)
-    return 0
-
-
-def _cmd_validate_sset(args) -> int:
-    sset_from_json(_load_json(args.path))
-    print("valid")
+    _emit_json(sset_to_json(nerve(_category(args.path), args.dim)), args)
     return 0
 
 
@@ -218,81 +192,56 @@ def _cmd_chi_sset(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="eulerkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    one, two = ("path",), ("path_a", "path_b")
+    witness = ("--witness", {"action": "store_true", "help": "print witness vectors"})
+    output = ("-o", "--output", {"help": "write JSON here instead of stdout"})
 
-    def add(name, func, help_text):
+    # Built per call, not at import, so the table binds the library
+    # functions this module holds when main runs.
+    for name, func, help_text, inputs, *options in (
+        ("validate", partial(_cmd_validate, category_from_json),
+         "check a category file against the axioms", one),
+        ("chi", partial(_cmd_chi, lambda doc: adjacency(category_from_json(doc)).matrix),
+         "Euler characteristic of a category", one,
+         ("--matrix", {"action": "store_true", "help":
+                       "also print the hom-count matrix, rows joined by ' / '"}),
+         witness),
+        ("weighting", partial(_cmd_side, weighting_solution, "weighting"),
+         "solve M v = 1", one),
+        ("coweighting", partial(_cmd_side, coweighting_solution, "coweighting"),
+         "solve u^T M = 1^T", one),
+        ("opposite", partial(_cmd_construct, opposite), "reverse all arrows", one, output),
+        ("skeleton", partial(_cmd_construct, skeleton),
+         "one object per isomorphism class", one, output),
+        ("product", partial(_cmd_construct, product),
+         "product category of two files", two, output),
+        ("coproduct", partial(_cmd_construct, coproduct),
+         "disjoint union of two files", two, output),
+        ("equivalent", _cmd_equivalent, "test two categories for equivalence", two),
+        ("chi-bicat", partial(_cmd_chi, lambda doc: bicat_adjacency(bicat_from_json(doc))),
+         "Euler characteristic of a bicategory file", one,
+         ("--matrix", {"action": "store_true", "help":
+                       "also print the matrix of hom-category characteristics"}),
+         witness),
+        ("chi-n", _cmd_chi_n, "Euler characteristic of a recursive datum file", one, witness),
+        ("internal-classes", _cmd_internal_classes,
+         "group zero-cells by internal equivalence", one),
+        ("nerve", _cmd_nerve, "nerve of a category as a truncated structure", one,
+         ("--dim", {"type": int, "default": DEFAULT_DIM}), output),
+        ("validate-sset", partial(_cmd_validate, sset_from_json),
+         "check a simplicial file against the identities", one),
+        ("horncheck", _cmd_horncheck, "count inner-horn fillers", one,
+         ("--unique", {"action": "store_true",
+                       "help": "also require unique fillers for exit 0"})),
+        ("chi-sset", _cmd_chi_sset, "Euler characteristic via nerve reconstruction",
+         one, witness),
+    ):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    p = add("validate", _cmd_validate, "check a category file against the axioms")
-    p.add_argument("path")
-
-    p = add("chi", _cmd_chi, "Euler characteristic of a category")
-    p.add_argument("path", help="category JSON file")
-    p.add_argument("--matrix", action="store_true",
-                   help="also print the hom-count matrix, rows joined by ' / '")
-    p.add_argument("--witness", action="store_true", help="print witness vectors")
-
-    p = add("weighting", lambda a: _cmd_side(a, False), "solve M v = 1")
-    p.add_argument("path")
-
-    p = add("coweighting", lambda a: _cmd_side(a, True), "solve u^T M = 1^T")
-    p.add_argument("path")
-
-    for name, func, help_text in (
-        ("opposite", _cmd_opposite, "reverse all arrows"),
-        ("skeleton", _cmd_skeleton, "one object per isomorphism class"),
-    ):
-        p = add(name, func, help_text)
-        p.add_argument("path")
-        p.add_argument("-o", "--output", help="write JSON here instead of stdout")
-
-    for name, func, help_text in (
-        ("product", _cmd_product, "product category of two files"),
-        ("coproduct", _cmd_coproduct, "disjoint union of two files"),
-    ):
-        p = add(name, func, help_text)
-        p.add_argument("path_a")
-        p.add_argument("path_b")
-        p.add_argument("-o", "--output")
-
-    p = add("equivalent", _cmd_equivalent, "test two categories for equivalence")
-    p.add_argument("path_a")
-    p.add_argument("path_b")
-
-    p = add("chi-bicat", _cmd_chi_bicat, "Euler characteristic of a bicategory file")
-    p.add_argument("path")
-    p.add_argument("--matrix", action="store_true",
-                   help="also print the matrix of hom-category characteristics")
-    p.add_argument("--witness", action="store_true")
-
-    p = add("chi-n", _cmd_chi_n, "Euler characteristic of a recursive datum file")
-    p.add_argument("path")
-    p.add_argument("--witness", action="store_true")
-
-    p = add("internal-classes", _cmd_internal_classes,
-            "group zero-cells by internal equivalence")
-    p.add_argument("path")
-
-    p = add("nerve", _cmd_nerve, "nerve of a category as a truncated structure")
-    p.add_argument("path")
-    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    p.add_argument("-o", "--output")
-
-    p = add("validate-sset", _cmd_validate_sset,
-            "check a simplicial file against the identities")
-    p.add_argument("path")
-
-    p = add("horncheck", _cmd_horncheck, "count inner-horn fillers")
-    p.add_argument("path")
-    p.add_argument("--unique", action="store_true",
-                   help="also require unique fillers for exit 0")
-
-    p = add("chi-sset", _cmd_chi_sset,
-            "Euler characteristic via nerve reconstruction")
-    p.add_argument("path")
-    p.add_argument("--witness", action="store_true")
-
+        for arg in inputs:
+            p.add_argument(arg)
+        for *flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 

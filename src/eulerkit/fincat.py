@@ -260,22 +260,26 @@ def coproduct(a: FinCat, b: FinCat) -> FinCat:
     return validate_category(objects, morphisms, identity, comp)
 
 
-def objects_isomorphic(cat: FinCat, x: int, y: int) -> bool:
-    if x == y:
-        return True
-    for f in cat.hom(x, y):
-        for g in cat.hom(y, x):
-            if (
-                cat.comp.get((g, f)) == cat.identity[x]
-                and cat.comp.get((f, g)) == cat.identity[y]
-            ):
-                return True
+def _is_invertible(cat: FinCat, m: int) -> bool:
+    src, tgt = cat.morphisms[m].src, cat.morphisms[m].tgt
+    for inv in cat.hom(tgt, src):
+        if (
+            cat.comp.get((inv, m)) == cat.identity[src]
+            and cat.comp.get((m, inv)) == cat.identity[tgt]
+        ):
+            return True
     return False
+
+
+def objects_isomorphic(cat: FinCat, x: int, y: int) -> bool:
+    return x == y or any(_is_invertible(cat, f) for f in cat.hom(x, y))
 
 
 @dataclass(frozen=True)
 class IsoPartition:
-    """Partition of the objects into isomorphism classes.
+    """Partition of objects into the classes of an equivalence relation:
+    isomorphism for the objects of a category, internal equivalence for
+    the zero-cells of a bicategory.
 
     Classes are numbered by ascending least member; `representatives[c]`
     is that least member.
@@ -294,8 +298,9 @@ class IsoPartition:
         return sum(1 for k in self.class_of if k == c)
 
 
-def iso_classes(cat: FinCat) -> IsoPartition:
-    n = len(cat.objects)
+def _partition(n: int, related) -> IsoPartition:
+    """Classes of 0..n-1 under the equivalence generated by `related`,
+    which is called once for every pair x < y in ascending order."""
     rep = list(range(n))  # union-find without ranks; sizes are tiny
 
     def find(x):
@@ -306,7 +311,7 @@ def iso_classes(cat: FinCat) -> IsoPartition:
 
     for x in range(n):
         for y in range(x + 1, n):
-            if objects_isomorphic(cat, x, y):
+            if related(x, y):
                 rx, ry = find(x), find(y)
                 if rx != ry:
                     rep[max(rx, ry)] = min(rx, ry)
@@ -315,6 +320,10 @@ def iso_classes(cat: FinCat) -> IsoPartition:
     return IsoPartition(
         tuple(class_ids[find(x)] for x in range(n)), tuple(roots)
     )
+
+
+def iso_classes(cat: FinCat) -> IsoPartition:
+    return _partition(len(cat.objects), lambda x, y: objects_isomorphic(cat, x, y))
 
 
 def skeleton(cat: FinCat) -> FinCat:
@@ -528,15 +537,25 @@ def equivalent(a: FinCat, b: FinCat, budget: int | None = None) -> bool:
 
 # --- JSON interchange -------------------------------------------------------
 
-_CATEGORY_KEYS = {"objects", "morphisms", "identities", "composition"}
+_CATEGORY_KEYS = {"objects": list, "morphisms": list, "identities": dict, "composition": list}
+_MORPHISM_KEYS = {"name": str, "src": str, "tgt": str}
+_COMPOSITION_KEYS = {"first": str, "then": str, "equals": str}
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
-def _check_keys(data: dict, allowed: set[str], where: str, required: set[str] | None = None):
+def _check_keys(data, allowed: Mapping[str, type], where: str,
+                required: Iterable[str] | None = None):
+    """The one schema check of every JSON loader: `data` is an object whose
+    keys are among `allowed`, holding every `required` key (all of
+    `allowed` when None), and each value has the type `allowed` gives it."""
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected an object")
-    unknown = set(data) - allowed
-    if unknown:
-        raise FormatError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in data.items():
+        kind = allowed.get(key)
+        if kind is None:
+            raise FormatError(f"{where}: unknown keys {sorted(data.keys() - allowed.keys())}")
+        if not isinstance(value, kind):
+            raise FormatError(f"{where}: {key!r} must be {_KINDS[kind]}")
     for key in required if required is not None else allowed:
         if key not in data:
             raise FormatError(f"{where}: missing key {key!r}")
@@ -546,7 +565,7 @@ def category_from_json(data: dict) -> FinCat:
     """Decode, infer omitted identity composites, and validate."""
     _check_keys(data, _CATEGORY_KEYS, "category")
     objects = data["objects"]
-    if not isinstance(objects, list) or not all(isinstance(o, str) for o in objects):
+    if not all(isinstance(o, str) for o in objects):
         raise FormatError("category: objects must be a list of strings")
     if len(set(objects)) != len(objects):
         raise FormatError("category: object names are not unique")
@@ -554,12 +573,12 @@ def category_from_json(data: dict) -> FinCat:
 
     morphisms = []
     for k, entry in enumerate(data["morphisms"]):
-        _check_keys(entry, {"name", "src", "tgt"}, f"morphism #{k}")
+        _check_keys(entry, _MORPHISM_KEYS, f"morphism #{k}")
         for side in ("src", "tgt"):
             if entry[side] not in obj_index:
                 raise FormatError(f"morphism #{k}: unknown object {entry[side]!r}")
         morphisms.append(
-            Morphism(str(entry["name"]), obj_index[entry["src"]], obj_index[entry["tgt"]])
+            Morphism(entry["name"], obj_index[entry["src"]], obj_index[entry["tgt"]])
         )
     names = [m.name for m in morphisms]
     if len(set(names)) != len(names):
@@ -567,22 +586,16 @@ def category_from_json(data: dict) -> FinCat:
     mor_index = {m.name: i for i, m in enumerate(morphisms)}
 
     identities = data["identities"]
-    if not isinstance(identities, dict):
-        raise FormatError("category: identities must be an object")
-    identity = {}
-    for obj, mor in identities.items():
-        if obj not in obj_index:
-            raise FormatError(f"identities: unknown object {obj!r}")
-        if mor not in mor_index:
-            raise FormatError(f"identities: unknown morphism {mor!r}")
-        identity[obj_index[obj]] = mor_index[mor]
-    missing = [objects[x] for x in range(len(objects)) if x not in identity]
-    if missing:
-        raise FormatError(f"identities: missing objects {missing}")
+    _check_keys(identities, dict.fromkeys(objects, str), "identities")
+    identity = []
+    for obj in objects:
+        if identities[obj] not in mor_index:
+            raise FormatError(f"identities: unknown morphism {identities[obj]!r}")
+        identity.append(mor_index[identities[obj]])
 
     comp = {}
     for k, entry in enumerate(data["composition"]):
-        _check_keys(entry, {"first", "then", "equals"}, f"composition #{k}")
+        _check_keys(entry, _COMPOSITION_KEYS, f"composition #{k}")
         for slot in ("first", "then", "equals"):
             if entry[slot] not in mor_index:
                 raise FormatError(f"composition #{k}: unknown morphism {entry[slot]!r}")
@@ -595,9 +608,9 @@ def category_from_json(data: dict) -> FinCat:
             )
         comp[key] = value
 
-    identity_list = tuple(identity[x] for x in range(len(objects)))
-    comp = with_identity_composites(morphisms, identity_list, comp)
-    return validate_category(objects, morphisms, identity_list, comp)
+    identity = tuple(identity)
+    comp = with_identity_composites(morphisms, identity, comp)
+    return validate_category(objects, morphisms, identity, comp)
 
 
 def category_to_json(cat: FinCat) -> dict:

@@ -27,7 +27,11 @@ from .errors import (
 )
 from .fincat import (
     FinCat,
+    IsoPartition,
     Morphism,
+    _check_keys,
+    _is_invertible,
+    _partition,
     category_from_json,
     category_to_json,
     category_violations,
@@ -57,6 +61,24 @@ class FinBicat:
 _EMPTY_CAT = FinCat((), (), (), {})
 
 
+def _coherence_ends(hcomp_one, units, side, key):
+    """(source, target) 1-cells of a coherence 2-cell: (hg)f => h(gf) for
+    the associator at key (x,y,z,w,h,g,f), 1_y f => f and f 1_x => f for
+    the left and right unitors at key (x,y,f).  The source is None when a
+    composite on the way is missing, and so is the associator's target."""
+    if side == "associator":
+        x, y, z, w, h, g, f = key
+        hg = hcomp_one[(y, z, w)].get((h, g))
+        gf = hcomp_one[(x, y, z)].get((g, f))
+        if hg is None or gf is None:
+            return None, None
+        return hcomp_one[(x, y, w)].get((hg, f)), hcomp_one[(x, z, w)].get((h, gf))
+    x, y, f = key
+    if side == "left":
+        return hcomp_one[(x, y, y)].get((units[y], f)), f
+    return hcomp_one[(x, x, y)].get((f, units[x])), f
+
+
 def _fill_strict_defaults(zero_cells, homcat, hcomp_one, hcomp_two, units,
                           associator, left_unitor, right_unitor):
     """Complete omitted parts with their strict (identity) readings."""
@@ -84,48 +106,25 @@ def _fill_strict_defaults(zero_cells, homcat, hcomp_one, hcomp_two, units,
     associator = dict(associator or {})
     for (y, z, w), outer in hcomp_one.items():
         for x in range(n):
-            inner = hcomp_one[(x, y, z)]
             for (h, g) in outer:
                 for f in range(len(homcat[(x, y)].objects)):
                     key = (x, y, z, w, h, g, f)
-                    if key in associator:
-                        continue
-                    gf = inner.get((g, f))
-                    if gf is None:
-                        continue
-                    hg = outer.get((h, g))
-                    if hg is None:
-                        continue
-                    src = hcomp_one[(x, y, w)].get((hg, f))
-                    if src is None:
-                        continue
-                    associator[key] = homcat[(x, w)].identity[src]
+                    if key not in associator:
+                        src, _ = _coherence_ends(hcomp_one, units, "associator", key)
+                        if src is not None:
+                            associator[key] = homcat[(x, w)].identity[src]
     left_unitor = dict(left_unitor or {})
     right_unitor = dict(right_unitor or {})
     for x in range(n):
         for y in range(n):
             hxy = homcat[(x, y)]
             for f in range(len(hxy.objects)):
-                if (x, y, f) not in left_unitor:
-                    comp = hcomp_one[(x, y, y)].get((units[y], f))
-                    if comp is not None:
-                        left_unitor[(x, y, f)] = hxy.identity[comp]
-                if (x, y, f) not in right_unitor:
-                    comp = hcomp_one[(x, x, y)].get((f, units[x]))
-                    if comp is not None:
-                        right_unitor[(x, y, f)] = hxy.identity[comp]
+                for side, table in (("left", left_unitor), ("right", right_unitor)):
+                    if (x, y, f) not in table:
+                        src, _ = _coherence_ends(hcomp_one, units, side, (x, y, f))
+                        if src is not None:
+                            table[(x, y, f)] = hxy.identity[src]
     return homcat, hcomp_one, hcomp_two, associator, left_unitor, right_unitor
-
-
-def _is_invertible(cat: FinCat, m: int) -> bool:
-    src, tgt = cat.morphisms[m].src, cat.morphisms[m].tgt
-    for inv in cat.hom(tgt, src):
-        if (
-            cat.comp.get((inv, m)) == cat.identity[src]
-            and cat.comp.get((m, inv)) == cat.identity[tgt]
-        ):
-            return True
-    return False
 
 
 def bicat_violations(zero_cells, homcat, hcomp_one, hcomp_two, units,
@@ -209,69 +208,50 @@ def bicat_violations(zero_cells, homcat, hcomp_one, hcomp_two, units,
                                 f"(({b2},{a2}) . ({b1},{a1}))"
                             )
 
-    # Associator cells: total over composable 1-cell triples, endpoints, invertibility.
+    # Coherence cells: total over their 1-cells, endpoints, invertibility.
+    def check_cell(name, hom, cell, ends):
+        if cell is None:
+            v.append(f"{name}: missing")
+            return
+        src, tgt = ends
+        if src is None or tgt is None:
+            return  # already reported as hcomp gaps
+        if not (0 <= cell < len(hom.morphisms)):
+            v.append(f"{name}: cell index out of range")
+            return
+        mor = hom.morphisms[cell]
+        if mor.src != src or mor.tgt != tgt:
+            v.append(f"{name}: endpoints {mor.src}->{mor.tgt}, expected {src}->{tgt}")
+        elif not _is_invertible(hom, cell):
+            v.append(f"{name}: not invertible")
+
     for x in range(n):
         for y in range(n):
             for z in range(n):
                 for w in range(n):
                     hxy, hyz, hzw = homcat[(x, y)], homcat[(y, z)], homcat[(z, w)]
-                    hxw = homcat[(x, w)]
                     for h in range(len(hzw.objects)):
                         for g in range(len(hyz.objects)):
                             for f in range(len(hxy.objects)):
                                 key = (x, y, z, w, h, g, f)
-                                name = (
+                                check_cell(
                                     f"associator({zero_cells[x]},{zero_cells[y]},"
-                                    f"{zero_cells[z]},{zero_cells[w]}; h={h},g={g},f={f})"
+                                    f"{zero_cells[z]},{zero_cells[w]}; h={h},g={g},f={f})",
+                                    homcat[(x, w)],
+                                    associator.get(key),
+                                    _coherence_ends(hcomp_one, units, "associator", key),
                                 )
-                                cell = associator.get(key)
-                                if cell is None:
-                                    v.append(f"{name}: missing")
-                                    continue
-                                hg = hcomp_one[(y, z, w)].get((h, g))
-                                gf = hcomp_one[(x, y, z)].get((g, f))
-                                if hg is None or gf is None:
-                                    continue  # already reported as hcomp gaps
-                                src = hcomp_one[(x, y, w)].get((hg, f))
-                                tgt = hcomp_one[(x, z, w)].get((h, gf))
-                                if src is None or tgt is None:
-                                    continue
-                                if not (0 <= cell < len(hxw.morphisms)):
-                                    v.append(f"{name}: cell index out of range")
-                                    continue
-                                mor = hxw.morphisms[cell]
-                                if mor.src != src or mor.tgt != tgt:
-                                    v.append(
-                                        f"{name}: endpoints {mor.src}->{mor.tgt}, "
-                                        f"expected {src}->{tgt}"
-                                    )
-                                elif not _is_invertible(hxw, cell):
-                                    v.append(f"{name}: not invertible")
 
-    for side, table in (("left unitor", left_unitor), ("right unitor", right_unitor)):
+    for side, table in (("left", left_unitor), ("right", right_unitor)):
         for x in range(n):
             for y in range(n):
-                hxy = homcat[(x, y)]
-                for f in range(len(hxy.objects)):
-                    name = f"{side}({zero_cells[x]},{zero_cells[y]}; f={f})"
-                    cell = table.get((x, y, f))
-                    if cell is None:
-                        v.append(f"{name}: missing")
-                        continue
-                    if side == "left unitor":
-                        src = hcomp_one[(x, y, y)].get((units[y], f))
-                    else:
-                        src = hcomp_one[(x, x, y)].get((f, units[x]))
-                    if src is None:
-                        continue
-                    if not (0 <= cell < len(hxy.morphisms)):
-                        v.append(f"{name}: cell index out of range")
-                        continue
-                    mor = hxy.morphisms[cell]
-                    if mor.src != src or mor.tgt != f:
-                        v.append(f"{name}: endpoints {mor.src}->{mor.tgt}, expected {src}->{f}")
-                    elif not _is_invertible(hxy, cell):
-                        v.append(f"{name}: not invertible")
+                for f in range(len(homcat[(x, y)].objects)):
+                    check_cell(
+                        f"{side} unitor({zero_cells[x]},{zero_cells[y]}; f={f})",
+                        homcat[(x, y)],
+                        table.get((x, y, f)),
+                        _coherence_ends(hcomp_one, units, side, (x, y, f)),
+                    )
     return v
 
 
@@ -447,20 +427,6 @@ def chi_n(datum: EulerDatum, _path: tuple = ()) -> EulerResult:
 # --- internal equivalence ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InternalEquivPartition:
-    """Zero-cells grouped by internal equivalence, numbered by least member."""
-
-    class_of: tuple[int, ...]
-    representatives: tuple[int, ...]
-
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.representatives]
-        for x, c in enumerate(self.class_of):
-            out[c].append(x)
-        return out
-
-
 def internally_equivalent(bicat: FinBicat, x: int, y: int,
                           budget: int | None = None) -> bool:
     """1-cells f: x->y, g: y->x with both round trips isomorphic to units."""
@@ -486,26 +452,10 @@ def internally_equivalent(bicat: FinBicat, x: int, y: int,
     return False
 
 
-def internal_equiv_classes(bicat: FinBicat, budget: int | None = None) -> InternalEquivPartition:
-    n = len(bicat.zero_cells)
-    rep = list(range(n))
-
-    def find(a):
-        while rep[a] != a:
-            rep[a] = rep[rep[a]]
-            a = rep[a]
-        return a
-
-    for x in range(n):
-        for y in range(x + 1, n):
-            if internally_equivalent(bicat, x, y, budget=budget):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    rep[max(rx, ry)] = min(rx, ry)
-    roots = sorted({find(x) for x in range(n)})
-    ids = {r: i for i, r in enumerate(roots)}
-    return InternalEquivPartition(
-        tuple(ids[find(x)] for x in range(n)), tuple(roots)
+def internal_equiv_classes(bicat: FinBicat, budget: int | None = None) -> IsoPartition:
+    return _partition(
+        len(bicat.zero_cells),
+        lambda x, y: internally_equivalent(bicat, x, y, budget=budget),
     )
 
 
@@ -524,16 +474,20 @@ def _split_key(key: str, parts: int, where: str, names: dict[str, int]) -> tuple
     return tuple(out)
 
 
+_BICAT_KEYS = {"zero_cells": list, "hom": dict, "hcomp": dict, "units": dict,
+               "associators": list, "unitors": dict}
+_HCOMP_KEYS = {"one_cells": list, "two_cells": list}
+_ONE_CELL_KEYS = {"g": str, "f": str, "equals": str}
+_TWO_CELL_KEYS = {"beta": str, "alpha": str, "equals": str}
+_ASSOCIATOR_KEYS = {"path": str, "h": str, "g": str, "f": str, "equals": str}
+_UNITOR_KEYS = {"path": str, "f": str, "equals": str}
+
+
 def bicat_from_json(data: dict) -> FinBicat:
-    _check = {"zero_cells", "hom", "hcomp", "units", "associators", "unitors"}
-    unknown = set(data) - _check
-    if unknown:
-        raise FormatError(f"bicategory: unknown keys {sorted(unknown)}")
-    for key in ("zero_cells", "hom", "hcomp", "units"):
-        if key not in data:
-            raise FormatError(f"bicategory: missing key {key!r}")
+    _check_keys(data, _BICAT_KEYS, "bicategory",
+                required=("zero_cells", "hom", "hcomp", "units"))
     zero_cells = data["zero_cells"]
-    if not isinstance(zero_cells, list) or not all(isinstance(z, str) for z in zero_cells):
+    if not all(isinstance(z, str) for z in zero_cells):
         raise FormatError("bicategory: zero_cells must be a list of strings")
     if any("|" in z for z in zero_cells):
         raise FormatError("bicategory: zero-cell names may not contain '|'")
@@ -566,23 +520,18 @@ def bicat_from_json(data: dict) -> FinBicat:
     hcomp_two: dict = {}
     for key, tables in data["hcomp"].items():
         x, y, z = _split_key(key, 3, "hcomp", names)
-        allowed = {"one_cells", "two_cells"}
-        unknown = set(tables) - allowed
-        if unknown:
-            raise FormatError(f"hcomp {key!r}: unknown keys {sorted(unknown)}")
+        _check_keys(tables, _HCOMP_KEYS, f"hcomp {key!r}", required=())
         one = {}
         for k, entry in enumerate(tables.get("one_cells", [])):
             where = f"hcomp {key!r} one_cells #{k}"
-            if set(entry) != {"g", "f", "equals"}:
-                raise FormatError(f"{where}: keys must be g, f, equals")
+            _check_keys(entry, _ONE_CELL_KEYS, where)
             one[(obj_index(homcat[(y, z)], entry["g"], where),
                  obj_index(homcat[(x, y)], entry["f"], where))] = obj_index(
                 homcat[(x, z)], entry["equals"], where)
         two = {}
         for k, entry in enumerate(tables.get("two_cells", [])):
             where = f"hcomp {key!r} two_cells #{k}"
-            if set(entry) != {"beta", "alpha", "equals"}:
-                raise FormatError(f"{where}: keys must be beta, alpha, equals")
+            _check_keys(entry, _TWO_CELL_KEYS, where)
             two[(mor_index(homcat[(y, z)], entry["beta"], where),
                  mor_index(homcat[(x, y)], entry["alpha"], where))] = mor_index(
                 homcat[(x, z)], entry["equals"], where)
@@ -590,8 +539,7 @@ def bicat_from_json(data: dict) -> FinBicat:
         hcomp_two[(x, y, z)] = two
 
     units_raw = data["units"]
-    if set(units_raw) != set(zero_cells):
-        raise FormatError("units: must name exactly the zero-cells")
+    _check_keys(units_raw, dict.fromkeys(zero_cells, str), "units")
     units = tuple(
         obj_index(homcat[(names[z], names[z])], units_raw[z], f"units[{z!r}]")
         for z in zero_cells
@@ -600,8 +548,7 @@ def bicat_from_json(data: dict) -> FinBicat:
     associator = {}
     for k, entry in enumerate(data.get("associators", [])):
         where = f"associators #{k}"
-        if set(entry) != {"path", "h", "g", "f", "equals"}:
-            raise FormatError(f"{where}: keys must be path, h, g, f, equals")
+        _check_keys(entry, _ASSOCIATOR_KEYS, where)
         x, y, z, w = _split_key(entry["path"], 4, where, names)
         associator[(x, y, z, w,
                     obj_index(homcat[(z, w)], entry["h"], where),
@@ -612,14 +559,11 @@ def bicat_from_json(data: dict) -> FinBicat:
     left_unitor: dict = {}
     right_unitor: dict = {}
     unitors = data.get("unitors", {})
-    unknown = set(unitors) - {"left", "right"}
-    if unknown:
-        raise FormatError(f"unitors: unknown keys {sorted(unknown)}")
+    _check_keys(unitors, {"left": list, "right": list}, "unitors", required=())
     for side, store in (("left", left_unitor), ("right", right_unitor)):
         for k, entry in enumerate(unitors.get(side, [])):
             where = f"unitors.{side} #{k}"
-            if set(entry) != {"path", "f", "equals"}:
-                raise FormatError(f"{where}: keys must be path, f, equals")
+            _check_keys(entry, _UNITOR_KEYS, where)
             x, y = _split_key(entry["path"], 2, where, names)
             store[(x, y, obj_index(homcat[(x, y)], entry["f"], where))] = mor_index(
                 homcat[(x, y)], entry["equals"], where)
@@ -660,9 +604,10 @@ def bicat_to_json(bicat: FinBicat) -> dict:
     }
     out = {"zero_cells": list(zc), "hom": hom, "hcomp": hcomp, "units": units}
     associators = []
-    for (x, y, z, w, h, g, f), cell in sorted(bicat.associator.items()):
+    for key, cell in sorted(bicat.associator.items()):
+        x, y, z, w, h, g, f = key
         hxw = bicat.homcat[(x, w)]
-        src = bicat.hcomp_one[(x, y, w)][(bicat.hcomp_one[(y, z, w)][(h, g)], f)]
+        src, _ = _coherence_ends(bicat.hcomp_one, bicat.unit_one_cell, "associator", key)
         if cell == hxw.identity[src]:
             continue
         associators.append({
@@ -679,10 +624,7 @@ def bicat_to_json(bicat: FinBicat) -> dict:
         rows = []
         for (x, y, f), cell in sorted(table.items()):
             hxy = bicat.homcat[(x, y)]
-            if side == "left":
-                src = bicat.hcomp_one[(x, y, y)][(bicat.unit_one_cell[y], f)]
-            else:
-                src = bicat.hcomp_one[(x, x, y)][(f, bicat.unit_one_cell[x])]
+            src, _ = _coherence_ends(bicat.hcomp_one, bicat.unit_one_cell, side, (x, y, f))
             if cell == hxy.identity[src]:
                 continue
             rows.append({"path": f"{zc[x]}|{zc[y]}", "f": hxy.objects[f],
@@ -694,29 +636,21 @@ def bicat_to_json(bicat: FinBicat) -> dict:
     return out
 
 
+_DATUM_LEAF_KEYS = {"level": int, "size": int}
+_DATUM_KEYS = {"level": int, "cells": list, "hom": dict}
+
+
 def datum_from_json(data: dict) -> EulerDatum:
-    if not isinstance(data, dict):
-        raise FormatError("datum: expected an object")
-    if "level" not in data:
-        raise FormatError("datum: missing key 'level'")
-    level = data["level"]
-    if not isinstance(level, int) or level < 0:
+    level = data.get("level") if isinstance(data, dict) else None
+    _check_keys(data, _DATUM_LEAF_KEYS if level == 0 else _DATUM_KEYS, "datum")
+    if level < 0:
         raise FormatError("datum: level must be a nonnegative integer")
     if level == 0:
-        unknown = set(data) - {"level", "size"}
-        if unknown:
-            raise FormatError(f"datum: unknown keys {sorted(unknown)}")
-        if "size" not in data or not isinstance(data["size"], int) or data["size"] < 0:
+        if data["size"] < 0:
             raise FormatError("datum: level 0 needs a nonnegative integer size")
         return EulerDatum(0, size=data["size"])
-    unknown = set(data) - {"level", "cells", "hom"}
-    if unknown:
-        raise FormatError(f"datum: unknown keys {sorted(unknown)}")
-    for key in ("cells", "hom"):
-        if key not in data:
-            raise FormatError(f"datum: missing key {key!r}")
     cells = data["cells"]
-    if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
+    if not all(isinstance(c, str) for c in cells):
         raise FormatError("datum: cells must be a list of strings")
     if any("|" in c for c in cells):
         raise FormatError("datum: cell names may not contain '|'")

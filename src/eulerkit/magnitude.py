@@ -19,7 +19,6 @@ from .qlinalg import LinearSolution, QMatrix, QVector, solve_affine, transpose
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
-    ordering: tuple[int, ...]
     matrix: QMatrix
 
 
@@ -49,7 +48,7 @@ def adjacency(cat: FinCat) -> AdjacencyMatrix:
     entries = tuple(
         Fraction(cat.hom_count(i, j)) for i in range(n) for j in range(n)
     )
-    return AdjacencyMatrix(tuple(range(n)), QMatrix(n, n, entries))
+    return AdjacencyMatrix(QMatrix(n, n, entries))
 
 
 def weighting_solution(matrix: QMatrix) -> LinearSolution:

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetExceededError, FormatError, NotNerveShapedError, ValidationError
-from .fincat import FinCat, Morphism, category_violations, search_budget, validate_category
+from .fincat import (
+    FinCat,
+    Morphism,
+    _check_keys,
+    category_violations,
+    search_budget,
+    validate_category,
+)
 from .magnitude import EulerResult, euler_char
 
 DEFAULT_DIM = 4
@@ -538,22 +545,19 @@ def sset_product(a: TruncatedSSet, b: TruncatedSSet) -> TruncatedSSet:
         tuple(f"({s},{t})" for s in a.level(n) for t in b.level(n))
         for n in range(a.dim + 1)
     )
-    face = {}
-    degeneracy = {}
-    for key in _required_keys(a.dim)[0]:
-        n = key[0]
-        face[key] = {
-            f"({s},{t})": f"({a.face[key][s]},{b.face[key][t]})"
-            for s in a.level(n)
-            for t in b.level(n)
+
+    def join(tables_a, tables_b, key):
+        ta, tb = tables_a[key], tables_b[key]
+        return {
+            f"({s},{t})": f"({ta[s]},{tb[t]})"
+            for s in a.level(key[0])
+            for t in b.level(key[0])
         }
-    for key in _required_keys(a.dim)[1]:
-        n = key[0]
-        degeneracy[key] = {
-            f"({s},{t})": f"({a.degeneracy[key][s]},{b.degeneracy[key][t]})"
-            for s in a.level(n)
-            for t in b.level(n)
-        }
+
+    face = {key: join(a.face, b.face, key) for key in _required_keys(a.dim)[0]}
+    degeneracy = {
+        key: join(a.degeneracy, b.degeneracy, key) for key in _required_keys(a.dim)[1]
+    }
     return validate_sset(a.dim, simplices, face, degeneracy)
 
 
@@ -591,30 +595,19 @@ def chi_sset(sset: TruncatedSSet) -> EulerResult:
 # --- JSON interchange -----------------------------------------------------------
 
 
+_SSET_KEYS = {"dim": int, "simplices": dict, "faces": dict, "degeneracies": dict}
+
+
 def sset_from_json(data: dict) -> TruncatedSSet:
-    allowed = {"dim", "simplices", "faces", "degeneracies"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise FormatError(f"simplicial structure: unknown keys {sorted(unknown)}")
-    if "dim" not in data or not isinstance(data["dim"], int) or data["dim"] < 0:
-        raise FormatError("simplicial structure: dim must be a nonnegative integer")
+    _check_keys(data, _SSET_KEYS, "simplicial structure", required=("dim",))
     dim = data["dim"]
+    if dim < 0:
+        raise FormatError("simplicial structure: dim must be a nonnegative integer")
     raw_levels = data.get("simplices", {})
-    if not isinstance(raw_levels, dict):
-        raise FormatError("simplices must map level numbers to id lists")
-    simplices = []
-    for n in range(dim + 1):
-        level = raw_levels.get(str(n), [])
-        if not isinstance(level, list):
-            raise FormatError(f"simplices[{n!r}] must be a list")
-        simplices.append(tuple(level))
-    extra = set(raw_levels) - {str(n) for n in range(dim + 1)}
-    if extra:
-        raise FormatError(f"simplices: unexpected levels {sorted(extra)}")
+    _check_keys(raw_levels, {str(n): list for n in range(dim + 1)}, "simplices", required=())
+    simplices = [tuple(raw_levels.get(str(n), [])) for n in range(dim + 1)]
 
     def parse_tables(raw, what):
-        if not isinstance(raw, dict):
-            raise FormatError(f"{what} must map 'n,i' keys to tables")
         out = {}
         for key, table in raw.items():
             parts = key.split(",")
@@ -624,8 +617,8 @@ def sset_from_json(data: dict) -> TruncatedSSet:
                 n, i = int(parts[0]), int(parts[1])
             except ValueError:
                 raise FormatError(f"{what} key {key!r} must look like 'n,i'") from None
-            if not isinstance(table, dict):
-                raise FormatError(f"{what}[{key!r}] must be an object")
+            if not isinstance(table, dict) or not all(isinstance(t, str) for t in table.values()):
+                raise FormatError(f"{what}[{key!r}] must map simplex ids to simplex ids")
             out[(n, i)] = dict(table)
         return out
 

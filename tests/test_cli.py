@@ -1,11 +1,15 @@
 """Command line behaviour: verbs, output shapes, exit codes."""
 
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import eulerkit
 from eulerkit import (
@@ -16,13 +20,14 @@ from eulerkit import (
     catalog,
     category_from_json,
     category_to_json,
+    datum_of_category,
     datum_to_json,
     horn,
     nerve,
     sset_from_json,
     sset_to_json,
 )
-from eulerkit.cli import main
+from eulerkit.cli import build_parser, main
 
 
 def _write(tmp_path, name, doc):
@@ -233,6 +238,70 @@ def test_usage_and_io_errors(tmp_path, capsys):
     assert main(["chi", str(garbled)]) == 3
     err = capsys.readouterr().err
     assert "malformed JSON at line" in err
+
+
+def _mistyped(name, verb, doc, edit):
+    edit(doc)
+    return pytest.param(verb, doc, id=name)
+
+
+# Wrong-typed fields that once escaped main as a TypeError or AttributeError.
+MISTYPED = [
+    _mistyped("src", "chi", category_to_json(catalog.arrow()),
+              lambda d: d["morphisms"][2].update(src=["x"])),
+    _mistyped("identities", "chi", category_to_json(catalog.arrow()),
+              lambda d: d["identities"].update(x=["1x"])),
+    _mistyped("composition", "chi", category_to_json(catalog.cyclic_group(3)),
+              lambda d: d["composition"][0].update(first=["g1"])),
+    _mistyped("hom", "chi-bicat", bicat_to_json(catalog.upper_triangular_bicat()),
+              lambda d: d.update(hom=[])),
+    _mistyped("hcomp", "chi-bicat", bicat_to_json(catalog.upper_triangular_bicat()),
+              lambda d: d.update(hcomp=[])),
+    _mistyped("unitors", "chi-bicat", bicat_to_json(catalog.upper_triangular_bicat()),
+              lambda d: d.update(unitors=[])),
+    _mistyped("units", "chi-bicat", bicat_to_json(catalog.upper_triangular_bicat()),
+              lambda d: d.update(units=list(d["zero_cells"]))),
+    _mistyped("datum-hom", "chi-n", datum_to_json(datum_of_category(catalog.arrow())),
+              lambda d: d.update(hom=[])),
+    _mistyped("face-value", "validate-sset", sset_to_json(nerve(catalog.arrow(), 2)),
+              lambda d: d["faces"]["1,0"].update(f=["y"])),
+]
+
+
+@pytest.mark.parametrize("verb, doc", MISTYPED)
+def test_wrong_typed_fields_exit_3(tmp_path, capsys, verb, doc):
+    assert main([verb, _write(tmp_path, "doc.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.strip()
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _readme_verbs():
+    """Verbs of the eulerkit lines in README's "Command line" code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = section.split("```", 1)[0]
+    verbs = []
+    for line in block.splitlines():
+        match = re.match(r"eulerkit (\S+)", line.strip())
+        if match:
+            verbs += match.group(1).split("|")
+    return verbs
+
+
+def test_verb_table_matches_readme_and_reports_missing_files(tmp_path, capsys):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    readme = _readme_verbs()
+    assert len(readme) == 16
+    assert sorted(sub.choices) == sorted(readme)
+    absent = str(tmp_path / "absent.json")
+    for verb, parser in sub.choices.items():
+        inputs = [a for a in parser._actions if not a.option_strings]
+        assert main([verb] + [absent] * len(inputs)) == 3, verb
+        captured = capsys.readouterr()
+        assert "absent.json" in captured.err, verb
+        assert "Traceback" not in captured.out + captured.err
 
 
 def test_budget_env_is_checked(tmp_path, capsys, monkeypatch):

@@ -194,3 +194,15 @@ def test_transport_rejects_nonconstant_input():
     lop = type(skew)((Fraction(1), Fraction(0)), skew.side)
     with pytest.raises(ValueError):
         transport_weighting(pp, pp, wit, lop)
+
+
+def test_codiscrete_names_stay_unique_past_ten_objects():
+    # u1+11 and u11+1 once gave the same name from twelve objects on.
+    # codiscrete(12) and codiscrete(3) are both equivalent to the terminal
+    # category, so they share chi; oracle_chi finds ranks by minor
+    # enumeration, far too slow at 12 x 12, so it is asked at 3 x 3.
+    cat = catalog.codiscrete(12)
+    assert len({m.name for m in cat.morphisms}) == 144
+    assert hom_matrix(cat) == [[1] * 12 for _ in range(12)]
+    res = euler_char(cat)
+    assert (res.exists, res.value) == oracle_chi(hom_matrix(catalog.codiscrete(3)))
