@@ -69,6 +69,8 @@ def _load_json(path: str):
             raise FormatError(
                 f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}"
             ) from None
+        except RecursionError:
+            raise FormatError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _vector(values) -> str:

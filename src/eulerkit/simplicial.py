@@ -73,6 +73,44 @@ def _required_keys(dim: int):
     return faces, degs
 
 
+def _identity_equations(dim, simplices):
+    """The five simplicial identities as entries (number, n, [(i, j, lhs,
+    rhs)]), in the order their violations are reported.
+
+    A side is the path of structure maps a level-n simplex takes, left to
+    right, each step ("d" for a face or "s" for a degeneracy, level,
+    index); the empty path is the simplex itself.  Levels without
+    simplices yield no entries.
+    """
+
+    def levels(first, stop):
+        return (n for n in range(first, stop) if simplices[n])
+
+    for n in levels(2, dim + 1):  # 1. d_i d_j = d_{j-1} d_i for i < j
+        for j in range(1, n + 1):
+            for i in range(j):
+                yield 1, n, [(i, j, [("d", n, j), ("d", n - 1, i)],
+                              [("d", n, i), ("d", n - 1, j - 1)])]
+    for n in levels(0, dim - 1):  # 5. s_i s_j = s_{j+1} s_i for i <= j
+        for j in range(n + 1):
+            for i in range(j + 1):
+                yield 5, n, [(i, j, [("s", n, j), ("s", n + 1, i)],
+                              [("s", n, i), ("s", n + 1, j + 1)])]
+    for n in levels(1, dim):  # 2. d_i s_j = s_{j-1} d_i for i < j
+        for j in range(1, n + 1):
+            for i in range(j):
+                yield 2, n, [(i, j, [("s", n, j), ("d", n + 1, i)],
+                              [("d", n, i), ("s", n - 1, j - 1)])]
+    for n in levels(0, dim):  # 3. d_j s_j = id = d_{j+1} s_j, one entry per j
+        for j in range(n + 1):
+            yield 3, n, [(i, j, [("s", n, j), ("d", n + 1, i)], []) for i in (j, j + 1)]
+    for n in levels(1, dim):  # 4. d_i s_j = s_j d_{i-1} for i > j+1
+        for j in range(n + 1):
+            for i in range(j + 2, n + 2):
+                yield 4, n, [(i, j, [("s", n, j), ("d", n + 1, i)],
+                              [("d", n, i - 1), ("s", n - 1, j)])]
+
+
 def sset_violations(dim, simplices, face, degeneracy) -> list[str]:
     """Totality, level correctness, and the five simplicial identities.
 
@@ -89,12 +127,11 @@ def sset_violations(dim, simplices, face, degeneracy) -> list[str]:
         if len(set(level)) != len(level):
             raise FormatError(f"level {n}: simplex ids are not unique")
     face_keys, deg_keys = _required_keys(dim)
-    for key in face:
-        if key not in face_keys:
-            raise FormatError(f"face table key {key} out of range")
-    for key in degeneracy:
-        if key not in deg_keys:
-            raise FormatError(f"degeneracy table key {key} out of range")
+    for keys, tables, kind in ((face_keys, face, "face"), (deg_keys, degeneracy, "degeneracy")):
+        allowed = set(keys)
+        for key in tables:
+            if key not in allowed:
+                raise FormatError(f"{kind} table key {key} out of range")
 
     v: list[str] = []
     level_sets = [set(level) for level in simplices]
@@ -117,80 +154,28 @@ def sset_violations(dim, simplices, face, degeneracy) -> list[str]:
     check_tables(face_keys, face, "face", -1)
     check_tables(deg_keys, degeneracy, "degeneracy", +1)
 
-    def fv(n, i, s):
-        return face.get((n, i), {}).get(s)
+    maps = {"d": face, "s": degeneracy}
 
-    def dv(n, i, s):
-        return degeneracy.get((n, i), {}).get(s)
+    def image(path, level):
+        """The end of `path` from each simplex of level, in level order;
+        None where a step is undefined."""
+        out = level
+        for kind, m, k in path:
+            get = maps[kind].get((m, k), {}).get
+            out = [None if x is None else get(x) for x in out]
+        return out
 
-    def defined(x):
-        return x is not None
-
-    # 1. face-face: d_i d_j = d_{j-1} d_i for i < j
-    for n in range(2, dim + 1):
-        for j in range(1, n + 1):
-            for i in range(j):
-                for s in simplices[n]:
-                    a, b = fv(n, j, s), fv(n, i, s)
-                    if defined(a) and defined(b):
-                        lhs, rhs = fv(n - 1, i, a), fv(n - 1, j - 1, b)
-                        if defined(lhs) and defined(rhs) and lhs != rhs:
-                            v.append(
-                                f"identity 1 fails at level {n}, (i,j)=({i},{j}), "
-                                f"simplex {s!r}"
-                            )
-    # 5. degeneracy-degeneracy: s_i s_j = s_{j+1} s_i for i <= j
-    for n in range(0, dim - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                for s in simplices[n]:
-                    a, b = dv(n, j, s), dv(n, i, s)
-                    if defined(a) and defined(b):
-                        lhs, rhs = dv(n + 1, i, a), dv(n + 1, j + 1, b)
-                        if defined(lhs) and defined(rhs) and lhs != rhs:
-                            v.append(
-                                f"identity 5 fails at level {n}, (i,j)=({i},{j}), "
-                                f"simplex {s!r}"
-                            )
-    # 2. mixed, i < j: d_i s_j = s_{j-1} d_i
-    for n in range(1, dim):
-        for j in range(1, n + 1):
-            for i in range(j):
-                for s in simplices[n]:
-                    a, b = dv(n, j, s), fv(n, i, s)
-                    if defined(a) and defined(b):
-                        lhs, rhs = fv(n + 1, i, a), dv(n - 1, j - 1, b)
-                        if defined(lhs) and defined(rhs) and lhs != rhs:
-                            v.append(
-                                f"identity 2 fails at level {n}, (i,j)=({i},{j}), "
-                                f"simplex {s!r}"
-                            )
-    # 3. mixed, i = j and i = j+1: d_j s_j = id = d_{j+1} s_j
-    for n in range(0, dim):
-        for j in range(n + 1):
-            for s in simplices[n]:
-                a = dv(n, j, s)
-                if defined(a):
-                    for i in (j, j + 1):
-                        got = fv(n + 1, i, a)
-                        if defined(got) and got != s:
-                            v.append(
-                                f"identity 3 fails at level {n}, (i,j)=({i},{j}), "
-                                f"simplex {s!r}"
-                            )
-    # 4. mixed, i > j+1: d_i s_j = s_j d_{i-1}
-    for n in range(1, dim):
-        for j in range(n + 1):
-            for i in range(j + 2, n + 2):
-                for s in simplices[n]:
-                    a, b = dv(n, j, s), fv(n, i - 1, s)
-                    if defined(a) and defined(b):
-                        lhs, rhs = fv(n + 1, i, a), dv(n - 1, j, b)
-                        if defined(lhs) and defined(rhs) and lhs != rhs:
-                            v.append(
-                                f"identity 4 fails at level {n}, (i,j)=({i},{j}), "
-                                f"simplex {s!r}"
-                            )
+    for number, n, equations in _identity_equations(dim, simplices):
+        level = simplices[n]
+        sides = [(i, j, image(lhs, level), image(rhs, level)) for i, j, lhs, rhs in equations]
+        for p, s in enumerate(level):
+            for i, j, lhs, rhs in sides:
+                a, b = lhs[p], rhs[p]
+                if a != b and a is not None and b is not None:
+                    v.append(
+                        f"identity {number} fails at level {n}, (i,j)=({i},{j}), "
+                        f"simplex {s!r}"
+                    )
     return v
 
 
@@ -201,35 +186,49 @@ def validate_sset(dim, simplices, face, degeneracy) -> TruncatedSSet:
     violations = sset_violations(dim, simplices, face, degeneracy)
     if violations:
         raise ValidationError(violations)
-    return TruncatedSSet(dim, simplices, face, degeneracy)
+    # a valid structure may omit the tables of empty levels; store them empty
+    face_keys, deg_keys = _required_keys(dim)
+    return TruncatedSSet(
+        dim,
+        simplices,
+        {key: face.get(key, {}) for key in face_keys},
+        {key: degeneracy.get(key, {}) for key in deg_keys},
+    )
 
 
 # --- stock structures -----------------------------------------------------------
 
 
-def _tuple_id(t) -> str:
-    return "|".join(str(x) for x in t)
+def _built_sset(levels, name, face_of, degeneracy_of) -> TruncatedSSet:
+    """The validated structure whose level m lists name(m, x) for the x in
+    levels[m], with d_i x = face_of(m, i, x) and s_i x = degeneracy_of(m, i, x)."""
+    dim = len(levels) - 1
+    ids = [[name(m, x) for x in level] for m, level in enumerate(levels)]
+
+    def tables(keys, step, shift):
+        return {
+            (m, i): {s: name(m + shift, step(m, i, x)) for s, x in zip(ids[m], levels[m])}
+            for m, i in keys
+        }
+
+    face_keys, deg_keys = _required_keys(dim)
+    return validate_sset(
+        dim, ids, tables(face_keys, face_of, -1), tables(deg_keys, degeneracy_of, +1)
+    )
 
 
 def _monotone_sset(n: int, dim: int, keep) -> TruncatedSSet:
     """The monotone tuples over {0..n} that pass `keep`, level m holding the
     (m+1)-tuples; faces drop an entry, degeneracies repeat one."""
-    levels = [
-        [t for t in itertools.combinations_with_replacement(range(n + 1), m + 1) if keep(t)]
-        for m in range(dim + 1)
-    ]
-    simplices = tuple(tuple(_tuple_id(t) for t in lvl) for lvl in levels)
-    face = {}
-    for m in range(1, dim + 1):
-        for i in range(m + 1):
-            face[(m, i)] = {_tuple_id(t): _tuple_id(t[:i] + t[i + 1:]) for t in levels[m]}
-    degeneracy = {}
-    for m in range(dim):
-        for i in range(m + 1):
-            degeneracy[(m, i)] = {
-                _tuple_id(t): _tuple_id(t[: i + 1] + t[i:]) for t in levels[m]
-            }
-    return validate_sset(dim, simplices, face, degeneracy)
+    return _built_sset(
+        [
+            [t for t in itertools.combinations_with_replacement(range(n + 1), m + 1) if keep(t)]
+            for m in range(dim + 1)
+        ],
+        lambda m, t: "|".join(map(str, t)),
+        lambda m, i, t: t[:i] + t[i + 1:],
+        lambda m, i, t: t[: i + 1] + t[i:],
+    )
 
 
 def standard_simplex(n: int, dim: int = DEFAULT_DIM) -> TruncatedSSet:
@@ -265,19 +264,15 @@ def nerve(cat: FinCat, dim: int = DEFAULT_DIM) -> TruncatedSSet:
     ):
         raise FormatError("nerve ids join names with '|'; names may not contain it")
 
-    paths: list[list[tuple[int, ...]]] = [[]]
-    paths[0] = [(x,) for x in range(len(cat.objects))]  # placeholder: vertex = object
-    for m in range(1, dim + 1):
-        level: list[tuple[int, ...]] = []
-        if m == 1:
-            level = [(f,) for f in range(len(cat.morphisms))]
-        else:
-            for p in paths[m - 1]:
-                tail = cat.morphisms[p[-1]].tgt
-                for f in range(len(cat.morphisms)):
-                    if cat.morphisms[f].src == tail:
-                        level.append(p + (f,))
-        paths.append(level)
+    # level 0 holds (object,), level m >= 1 the composable m-paths of arrows
+    paths = [[(x,) for x in range(len(cat.objects))], [(f,) for f in range(len(cat.morphisms))]]
+    for m in range(2, dim + 1):
+        paths.append([
+            p + (f,)
+            for p in paths[-1]
+            for f in range(len(cat.morphisms))
+            if cat.morphisms[f].src == cat.morphisms[p[-1]].tgt
+        ])
 
     def path_id(m, p) -> str:
         if m == 0:
@@ -289,38 +284,20 @@ def nerve(cat: FinCat, dim: int = DEFAULT_DIM) -> TruncatedSSet:
             return p[0]
         return cat.morphisms[p[0]].src if i == 0 else cat.morphisms[p[i - 1]].tgt
 
-    simplices = tuple(
-        tuple(path_id(m, p) for p in paths[m]) for m in range(dim + 1)
-    )
-    face: dict = {}
-    for m in range(1, dim + 1):
-        for i in range(m + 1):
-            table = {}
-            for p in paths[m]:
-                if m == 1:
-                    q_id = cat.objects[vertex(1, p, 1 - i)]
-                elif i == 0:
-                    q_id = path_id(m - 1, p[1:])
-                elif i == m:
-                    q_id = path_id(m - 1, p[:-1])
-                else:
-                    c = cat.comp[(p[i], p[i - 1])]
-                    q_id = path_id(m - 1, p[: i - 1] + (c,) + p[i + 1:])
-                table[path_id(m, p)] = q_id
-            face[(m, i)] = table
-    degeneracy: dict = {}
-    for m in range(dim):
-        for i in range(m + 1):
-            table = {}
-            for p in paths[m]:
-                ident = cat.identity[vertex(m, p, i)]
-                if m == 0:
-                    q = (ident,)
-                else:
-                    q = p[:i] + (ident,) + p[i:]
-                table[path_id(m, p)] = path_id(m + 1, q)
-            degeneracy[(m, i)] = table
-    return validate_sset(dim, simplices, face, degeneracy)
+    def face_of(m, i, p):
+        if m == 1:
+            return (vertex(1, p, 1 - i),)
+        if i == 0:
+            return p[1:]
+        if i == m:
+            return p[:-1]
+        return p[: i - 1] + (cat.comp[(p[i], p[i - 1])],) + p[i + 1:]
+
+    def degeneracy_of(m, i, p):
+        ident = cat.identity[vertex(m, p, i)]
+        return (ident,) if m == 0 else p[:i] + (ident,) + p[i:]
+
+    return _built_sset(paths[: dim + 1], path_id, face_of, degeneracy_of)
 
 
 # --- horns inside a structure ---------------------------------------------------
@@ -520,45 +497,25 @@ def category_from_nerve(sset: TruncatedSSet) -> FinCat:
 def sset_coproduct(a: TruncatedSSet, b: TruncatedSSet) -> TruncatedSSet:
     if a.dim != b.dim:
         raise ValueError("coproduct needs equal truncation dimensions")
-    simplices = tuple(
-        tuple(f"0:{s}" for s in a.level(n)) + tuple(f"1:{s}" for s in b.level(n))
-        for n in range(a.dim + 1)
+    parts = (a, b)
+    return _built_sset(
+        [[(k, s) for k, part in enumerate(parts) for s in part.level(n)] for n in range(a.dim + 1)],
+        lambda m, x: f"{x[0]}:{x[1]}",
+        lambda m, i, x: (x[0], parts[x[0]].face[(m, i)][x[1]]),
+        lambda m, i, x: (x[0], parts[x[0]].degeneracy[(m, i)][x[1]]),
     )
-
-    def join(tables_a, tables_b, key):
-        out = {f"0:{s}": f"0:{t}" for s, t in tables_a.get(key, {}).items()}
-        out.update({f"1:{s}": f"1:{t}" for s, t in tables_b.get(key, {}).items()})
-        return out
-
-    face = {key: join(a.face, b.face, key) for key in _required_keys(a.dim)[0]}
-    degeneracy = {
-        key: join(a.degeneracy, b.degeneracy, key) for key in _required_keys(a.dim)[1]
-    }
-    return validate_sset(a.dim, simplices, face, degeneracy)
 
 
 def sset_product(a: TruncatedSSet, b: TruncatedSSet) -> TruncatedSSet:
     """Levelwise pairs with componentwise structure maps."""
     if a.dim != b.dim:
         raise ValueError("product needs equal truncation dimensions")
-    simplices = tuple(
-        tuple(f"({s},{t})" for s in a.level(n) for t in b.level(n))
-        for n in range(a.dim + 1)
+    return _built_sset(
+        [list(itertools.product(a.level(n), b.level(n))) for n in range(a.dim + 1)],
+        lambda m, x: f"({x[0]},{x[1]})",
+        lambda m, i, x: (a.face[(m, i)][x[0]], b.face[(m, i)][x[1]]),
+        lambda m, i, x: (a.degeneracy[(m, i)][x[0]], b.degeneracy[(m, i)][x[1]]),
     )
-
-    def join(tables_a, tables_b, key):
-        ta, tb = tables_a[key], tables_b[key]
-        return {
-            f"({s},{t})": f"({ta[s]},{tb[t]})"
-            for s in a.level(key[0])
-            for t in b.level(key[0])
-        }
-
-    face = {key: join(a.face, b.face, key) for key in _required_keys(a.dim)[0]}
-    degeneracy = {
-        key: join(a.degeneracy, b.degeneracy, key) for key in _required_keys(a.dim)[1]
-    }
-    return validate_sset(a.dim, simplices, face, degeneracy)
 
 
 # --- Euler characteristic by reconstruction --------------------------------------

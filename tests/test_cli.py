@@ -370,3 +370,25 @@ def test_installed_entry_point(tmp_path):
     exe = shutil.which("eulerkit")
     if exe:
         _check_entry_point([exe], z3)
+
+
+def test_horncheck_reads_a_structure_without_tables(tmp_path, capsys):
+    path = _write(tmp_path, "empty.json", {"dim": 3})
+    assert main(["horncheck", path]) == 0
+    captured = capsys.readouterr()
+    horns = [line for line in captured.out.splitlines() if line.startswith("horn ")]
+    assert len(horns) == 3 and all(": 0 instances," in line for line in horns)
+    assert "quasi = true" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_deeply_nested_file_exits_3(tmp_path, capsys):
+    doc = '{"level": 0, "size": 1}'
+    for level in range(1, 601):
+        doc = f'{{"level": {level}, "cells": ["a"], "hom": {{"a|a": {doc}}}}}'
+    path = tmp_path / "deep.json"
+    path.write_text(doc)
+    assert main(["chi-n", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and "nested too deeply" in captured.err
+    assert "Traceback" not in captured.out + captured.err

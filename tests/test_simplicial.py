@@ -308,3 +308,138 @@ def test_horn_enumeration_runs_under_the_budget(monkeypatch):
         enumerate_inner_horns(ner, 3, 1)
     monkeypatch.delenv("EULERKIT_BUDGET")
     assert len(enumerate_inner_horns(ner, 3, 1)) == path_totals(catalog.chain(3), 3)[3]
+
+
+# --- exact reports and tables by definition ----------------------------------------
+
+# One changed entry of standard_simplex(2, 3) per identity, with the full
+# violation list the checker gave before it read the identities from one
+# table: content and order are pinned, and the last case shows identity 5
+# reported before identity 3.
+IDENTITY_EDITS = [
+    (1, ("faces", "3,2", "0|0|1|2", "0|0|0"), [
+        "identity 1 fails at level 3, (i,j)=(0,2), simplex '0|0|1|2'",
+        "identity 1 fails at level 3, (i,j)=(1,2), simplex '0|0|1|2'",
+        "identity 4 fails at level 2, (i,j)=(2,0), simplex '0|1|2'",
+    ]),
+    (2, ("degeneracies", "2,1", "0|1|2", "0|1|1|1"), [
+        "identity 2 fails at level 2, (i,j)=(0,1), simplex '0|1|2'",
+        "identity 3 fails at level 2, (i,j)=(1,1), simplex '0|1|2'",
+        "identity 3 fails at level 2, (i,j)=(2,1), simplex '0|1|2'",
+    ]),
+    (3, ("degeneracies", "2,0", "0|1|2", "0|0|1|1"), [
+        "identity 3 fails at level 2, (i,j)=(0,0), simplex '0|1|2'",
+        "identity 3 fails at level 2, (i,j)=(1,0), simplex '0|1|2'",
+        "identity 4 fails at level 2, (i,j)=(2,0), simplex '0|1|2'",
+    ]),
+    (4, ("degeneracies", "2,0", "0|1|2", "0|1|1|2"), [
+        "identity 3 fails at level 2, (i,j)=(0,0), simplex '0|1|2'",
+        "identity 4 fails at level 2, (i,j)=(2,0), simplex '0|1|2'",
+        "identity 4 fails at level 2, (i,j)=(3,0), simplex '0|1|2'",
+    ]),
+    (5, ("degeneracies", "2,0", "0|0|1", "0|0|0|0"), [
+        "identity 5 fails at level 1, (i,j)=(0,0), simplex '0|1'",
+        "identity 3 fails at level 2, (i,j)=(0,0), simplex '0|0|1'",
+        "identity 3 fails at level 2, (i,j)=(1,0), simplex '0|0|1'",
+        "identity 4 fails at level 2, (i,j)=(2,0), simplex '0|0|1'",
+    ]),
+]
+
+
+@pytest.mark.parametrize("number, edit, expected", IDENTITY_EDITS,
+                         ids=[f"identity-{e[0]}" for e in IDENTITY_EDITS])
+def test_each_identity_reports_its_exact_violations(number, edit, expected):
+    doc = sset_to_json(standard_simplex(2, 3))
+    what, key, simplex, value = edit
+    doc[what][key][simplex] = value
+    with pytest.raises(ValidationError) as exc:
+        sset_from_json(doc)
+    assert exc.value.violations == expected
+    assert any(v.startswith(f"identity {number} fails") for v in expected)
+
+
+def test_identity_3_reports_in_simplex_order():
+    """Both equations of identity 3 (i = j and i = j + 1) are checked per
+    simplex, so an i = j failure on a later simplex follows an i = j + 1
+    failure on an earlier one.  No single changed entry shows this."""
+    doc = sset_to_json(standard_simplex(2, 3))
+    doc["faces"]["2,1"]["0|0|1"] = "0|0"
+    doc["faces"]["2,0"]["0|0|2"] = "1|2"
+    with pytest.raises(ValidationError) as exc:
+        sset_from_json(doc)
+    assert [v for v in exc.value.violations if v.startswith("identity 3")] == [
+        "identity 3 fails at level 1, (i,j)=(1,0), simplex '0|1'",
+        "identity 3 fails at level 1, (i,j)=(0,0), simplex '0|2'",
+    ]
+
+
+def test_nerve_tables_follow_the_definition():
+    """An m-simplex is a path of m composable arrows (an object when m = 0).
+    d_i deletes vertex i: the first or last arrow goes, an inner vertex
+    composes its two arrows; s_i repeats vertex i by inserting its identity."""
+    cat = catalog.walking_retract()
+    mors = cat.morphisms
+    paths = [[(x,) for x in range(len(cat.objects))]] + [
+        [p for p in itertools.product(range(len(mors)), repeat=m)
+         if all(mors[f].tgt == mors[g].src for f, g in zip(p, p[1:]))]
+        for m in (1, 2, 3)
+    ]
+
+    def ident(m, p):
+        return cat.objects[p[0]] if m == 0 else "|".join(mors[f].name for f in p)
+
+    def vertices(m, p):
+        return [p[0]] if m == 0 else [mors[p[0]].src] + [mors[f].tgt for f in p]
+
+    face, degeneracy = {}, {}
+    for m in (1, 2, 3):
+        for i in range(m + 1):
+            table = {}
+            for p in paths[m]:
+                if m == 1:
+                    q = (vertices(1, p)[1 - i],)
+                elif i in (0, m):
+                    q = p[1:] if i == 0 else p[:-1]
+                else:
+                    q = p[: i - 1] + (cat.comp[(p[i], p[i - 1])],) + p[i + 1:]
+                table[ident(m, p)] = ident(m - 1, q)
+            face[(m, i)] = table
+    for m in (0, 1, 2):
+        for i in range(m + 1):
+            table = {}
+            for p in paths[m]:
+                unit = (cat.identity[vertices(m, p)[i]],)
+                table[ident(m, p)] = ident(m + 1, unit if m == 0 else p[:i] + unit + p[i:])
+            degeneracy[(m, i)] = table
+    ner = nerve(cat, 3)
+    assert ner.simplices == tuple(tuple(ident(m, p) for p in paths[m]) for m in range(4))
+    assert ner.face == face
+    assert ner.degeneracy == degeneracy
+    # not commutative: s after r is e, r after s is 1a
+    assert face[(2, 1)]["r|s"] == "e" and face[(2, 1)]["s|r"] == "1a"
+
+
+def test_product_and_coproduct_tables_by_hand():
+    point, edge = standard_simplex(0, 1), standard_simplex(1, 1)
+    prod = sset_product(edge, nerve(catalog.discrete(2), 1))
+    assert prod.simplices == (
+        ("(0,x0)", "(0,x1)", "(1,x0)", "(1,x1)"),
+        ("(0|0,1x0)", "(0|0,1x1)", "(0|1,1x0)", "(0|1,1x1)", "(1|1,1x0)", "(1|1,1x1)"),
+    )
+    assert prod.face == {
+        (1, 0): {"(0|0,1x0)": "(0,x0)", "(0|0,1x1)": "(0,x1)", "(0|1,1x0)": "(1,x0)",
+                 "(0|1,1x1)": "(1,x1)", "(1|1,1x0)": "(1,x0)", "(1|1,1x1)": "(1,x1)"},
+        (1, 1): {"(0|0,1x0)": "(0,x0)", "(0|0,1x1)": "(0,x1)", "(0|1,1x0)": "(0,x0)",
+                 "(0|1,1x1)": "(0,x1)", "(1|1,1x0)": "(1,x0)", "(1|1,1x1)": "(1,x1)"},
+    }
+    assert prod.degeneracy == {
+        (0, 0): {"(0,x0)": "(0|0,1x0)", "(0,x1)": "(0|0,1x1)",
+                 "(1,x0)": "(1|1,1x0)", "(1,x1)": "(1|1,1x1)"},
+    }
+    coprod = sset_coproduct(point, edge)
+    assert coprod.simplices == (("0:0", "1:0", "1:1"), ("0:0|0", "1:0|0", "1:0|1", "1:1|1"))
+    assert coprod.face == {
+        (1, 0): {"0:0|0": "0:0", "1:0|0": "1:0", "1:0|1": "1:1", "1:1|1": "1:1"},
+        (1, 1): {"0:0|0": "0:0", "1:0|0": "1:0", "1:0|1": "1:0", "1:1|1": "1:1"},
+    }
+    assert coprod.degeneracy == {(0, 0): {"0:0": "0:0|0", "1:0": "1:0|0", "1:1": "1:1|1"}}
