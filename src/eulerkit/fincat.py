@@ -115,6 +115,14 @@ def with_identity_composites(
     return full
 
 
+def _arrows_from(morphisms) -> dict[int, list[int]]:
+    """Morphism indices grouped by source object, each group ascending."""
+    by_src: dict[int, list[int]] = {}
+    for i, m in enumerate(morphisms):
+        by_src.setdefault(m.src, []).append(i)
+    return by_src
+
+
 def category_violations(objects, morphisms, identity, comp) -> list[str]:
     """Every axiom violation in the raw data, each citing the offending indices.
 
@@ -151,12 +159,8 @@ def category_violations(objects, morphisms, identity, comp) -> list[str]:
                 f"{m.src}->{m.tgt}, expected {x}->{x}"
             )
 
-    composable = {
-        (g, f)
-        for f in range(n_mor)
-        for g in range(n_mor)
-        if morphisms[f].tgt == morphisms[g].src
-    }
+    by_src = _arrows_from(morphisms)
+    composable = {(g, f) for f in range(n_mor) for g in by_src.get(morphisms[f].tgt, ())}
     for pair in sorted(composable - comp.keys()):
         v.append(f"missing composite for composable pair (g={pair[0]}, f={pair[1]})")
     for pair in sorted(comp.keys() - composable):
@@ -183,9 +187,6 @@ def category_violations(objects, morphisms, identity, comp) -> list[str]:
             v.append(f"identity law fails: morphism {f} after id_{m.src} gives {right}")
 
     # Associativity at every composable triple where both routes resolve.
-    by_src: dict[int, list[int]] = {}
-    for i, m in enumerate(morphisms):
-        by_src.setdefault(m.src, []).append(i)
     for f in range(n_mor):
         for g in by_src.get(morphisms[f].tgt, ()):
             gf = comp.get((g, f))

@@ -2,12 +2,15 @@
 
 A bicategory is stored as zero-cells, one hom-category per ordered pair,
 horizontal-composition tables (on 1-cells and on 2-cells), unit 1-cells,
-and associator/unitor 2-cells.  Validation checks endpoints, functoriality
-of horizontal composition, and invertibility of every coherence cell; it
-deliberately does not check the pentagon or triangle diagrams.  Omitted
-coherence cells default to identities, so a bare structure is read as
-strict and validation then enforces that the tables really are strictly
-associative and unital.
+and associator/unitor 2-cells.  Validation checks that the hom-categories
+are categories, that the unit and composite tables are total and in range,
+that 2-cell composites have the right endpoints, that horizontal
+composition keeps identities and is functorial over composable pairs, and
+that every associator and unitor has the right endpoints and is
+invertible; it does not check the pentagon or triangle diagrams.
+Omitted coherence cells default to identities, so a bare structure is read
+as strict and validation then enforces that the tables are strictly
+associative and unital; `bicat_to_json` omits exactly the identity cells.
 
 Euler data generalise the adjacency-matrix picture to any level: a
 level-0 datum is a finite set recorded by its size, and a level-n datum
@@ -29,6 +32,7 @@ from .fincat import (
     FinCat,
     IsoPartition,
     Morphism,
+    _arrows_from,
     _check_keys,
     _is_invertible,
     _partition,
@@ -61,22 +65,39 @@ class FinBicat:
 _EMPTY_CAT = FinCat((), (), (), {})
 
 
-def _coherence_ends(hcomp_one, units, side, key):
-    """(source, target) 1-cells of a coherence 2-cell: (hg)f => h(gf) for
-    the associator at key (x,y,z,w,h,g,f), 1_y f => f and f 1_x => f for
-    the left and right unitors at key (x,y,f).  The source is None when a
-    composite on the way is missing, and so is the associator's target."""
-    if side == "associator":
-        x, y, z, w, h, g, f = key
-        hg = hcomp_one[(y, z, w)].get((h, g))
-        gf = hcomp_one[(x, y, z)].get((g, f))
-        if hg is None or gf is None:
-            return None, None
-        return hcomp_one[(x, y, w)].get((hg, f)), hcomp_one[(x, z, w)].get((h, gf))
-    x, y, f = key
-    if side == "left":
-        return hcomp_one[(x, y, y)].get((units[y], f)), f
-    return hcomp_one[(x, x, y)].get((f, units[x])), f
+def _coherence_cells(n, homcat, hcomp_one, units):
+    """Every coherence 2-cell a bicategory carries, in report order: the
+    associator (hg)f => h(gf) at each key (x,y,z,w,h,g,f), then the left
+    unitors 1_y f => f and the right unitors f 1_x => f at each key (x,y,f).
+    Yields (side, key, hom-category of the cell, source, target); the source
+    is None when a composite on the way is missing, and so is the
+    associator's target."""
+    for x in range(n):
+        for y in range(n):
+            fs = range(len(homcat[(x, y)].objects))
+            for z in range(n):
+                g_f = hcomp_one[(x, y, z)]
+                gs = range(len(homcat[(y, z)].objects))
+                for w in range(n):
+                    h_g, hg_f = hcomp_one[(y, z, w)], hcomp_one[(x, y, w)]
+                    h_gf, hom = hcomp_one[(x, z, w)], homcat[(x, w)]
+                    for h in range(len(homcat[(z, w)].objects)):
+                        for g in gs:
+                            hg = h_g.get((h, g))
+                            for f in fs:
+                                gf = g_f.get((g, f))
+                                src = tgt = None
+                                if hg is not None and gf is not None:
+                                    src, tgt = hg_f.get((hg, f)), h_gf.get((h, gf))
+                                yield "associator", (x, y, z, w, h, g, f), hom, src, tgt
+    for side in ("left", "right"):
+        for x in range(n):
+            for y in range(n):
+                hom = homcat[(x, y)]
+                table = hcomp_one[(x, y, y)] if side == "left" else hcomp_one[(x, x, y)]
+                for f in range(len(hom.objects)):
+                    pair = (units[y], f) if side == "left" else (f, units[x])
+                    yield side, (x, y, f), hom, table.get(pair), f
 
 
 def _fill_strict_defaults(zero_cells, homcat, hcomp_one, hcomp_two, units,
@@ -87,14 +108,13 @@ def _fill_strict_defaults(zero_cells, homcat, hcomp_one, hcomp_two, units,
     for x in range(n):
         for y in range(n):
             homcat.setdefault((x, y), _EMPTY_CAT)
-    hcomp_one = {k: dict(v) for k, v in hcomp_one.items()}
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                hcomp_one.setdefault((x, y, z), {})
-    hcomp_two = {k: dict(v) for k, v in (hcomp_two or {}).items()}
-    for key in hcomp_one:
-        hcomp_two.setdefault(key, {})
+    hcomp_two = hcomp_two or {}
+    for x, y, z in [*hcomp_one, *hcomp_two]:
+        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
+            raise FormatError(f"hcomp key ({x},{y},{z}) out of range")
+    triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    hcomp_one = {key: dict(hcomp_one.get(key, {})) for key in triples}
+    hcomp_two = {key: dict(hcomp_two.get(key, {})) for key in triples}
     # Identity 2-cell pairs compose to the identity of the composite 1-cell.
     for (x, y, z), table in hcomp_one.items():
         two = hcomp_two[(x, y, z)]
@@ -103,28 +123,12 @@ def _fill_strict_defaults(zero_cells, homcat, hcomp_one, hcomp_two, units,
             pair = (hyz.identity[g], hxy.identity[f])
             if pair not in two:
                 two[pair] = homcat[(x, z)].identity[gf]
-    associator = dict(associator or {})
-    for (y, z, w), outer in hcomp_one.items():
-        for x in range(n):
-            for (h, g) in outer:
-                for f in range(len(homcat[(x, y)].objects)):
-                    key = (x, y, z, w, h, g, f)
-                    if key not in associator:
-                        src, _ = _coherence_ends(hcomp_one, units, "associator", key)
-                        if src is not None:
-                            associator[key] = homcat[(x, w)].identity[src]
-    left_unitor = dict(left_unitor or {})
-    right_unitor = dict(right_unitor or {})
-    for x in range(n):
-        for y in range(n):
-            hxy = homcat[(x, y)]
-            for f in range(len(hxy.objects)):
-                for side, table in (("left", left_unitor), ("right", right_unitor)):
-                    if (x, y, f) not in table:
-                        src, _ = _coherence_ends(hcomp_one, units, side, (x, y, f))
-                        if src is not None:
-                            table[(x, y, f)] = hxy.identity[src]
-    return homcat, hcomp_one, hcomp_two, associator, left_unitor, right_unitor
+    cells = {"associator": dict(associator or {}), "left": dict(left_unitor or {}),
+             "right": dict(right_unitor or {})}
+    for side, key, hom, src, _ in _coherence_cells(n, homcat, hcomp_one, units):
+        if src is not None and key not in cells[side]:
+            cells[side][key] = hom.identity[src]
+    return (homcat, hcomp_one, hcomp_two, *cells.values())
 
 
 def bicat_violations(zero_cells, homcat, hcomp_one, hcomp_two, units,
@@ -192,14 +196,11 @@ def bicat_violations(zero_cells, homcat, hcomp_one, hcomp_two, units,
                     idp = (hyz.identity[g], hxy.identity[f])
                     if two[idp] != hxz.identity[gf]:
                         v.append(f"{where}: identity 2-cells at {(g, f)} do not compose to an identity")
+            # over composable pairs only: (b2, a2) leaving the targets of (b1, a1)
+            after_b, after_a = _arrows_from(hyz.morphisms), _arrows_from(hxy.morphisms)
             for (b1, a1), r1 in sorted(two.items()):
-                beta1, alpha1 = hyz.morphisms[b1], hxy.morphisms[a1]
-                for b2 in range(len(hyz.morphisms)):
-                    if hyz.morphisms[b2].src != beta1.tgt:
-                        continue
-                    for a2 in range(len(hxy.morphisms)):
-                        if hxy.morphisms[a2].src != alpha1.tgt:
-                            continue
+                for b2 in after_b.get(hyz.morphisms[b1].tgt, ()):
+                    for a2 in after_a.get(hxy.morphisms[a1].tgt, ()):
                         vert = (hyz.comp[(b2, b1)], hxy.comp[(a2, a1)])
                         want = hxz.comp.get((two[(b2, a2)], r1))
                         if two[vert] != want:
@@ -209,49 +210,30 @@ def bicat_violations(zero_cells, homcat, hcomp_one, hcomp_two, units,
                             )
 
     # Coherence cells: total over their 1-cells, endpoints, invertibility.
-    def check_cell(name, hom, cell, ends):
+    cells = {"associator": associator, "left": left_unitor, "right": right_unitor}
+    for side, key, hom, src, tgt in _coherence_cells(n, homcat, hcomp_one, units):
+        cell = cells[side].get(key)
         if cell is None:
-            v.append(f"{name}: missing")
-            return
-        src, tgt = ends
-        if src is None or tgt is None:
-            return  # already reported as hcomp gaps
-        if not (0 <= cell < len(hom.morphisms)):
-            v.append(f"{name}: cell index out of range")
-            return
-        mor = hom.morphisms[cell]
-        if mor.src != src or mor.tgt != tgt:
-            v.append(f"{name}: endpoints {mor.src}->{mor.tgt}, expected {src}->{tgt}")
+            problem = "missing"
+        elif src is None or tgt is None:
+            continue  # already reported as hcomp gaps
+        elif not (0 <= cell < len(hom.morphisms)):
+            problem = "cell index out of range"
+        elif (hom.morphisms[cell].src, hom.morphisms[cell].tgt) != (src, tgt):
+            mor = hom.morphisms[cell]
+            problem = f"endpoints {mor.src}->{mor.tgt}, expected {src}->{tgt}"
         elif not _is_invertible(hom, cell):
-            v.append(f"{name}: not invertible")
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for w in range(n):
-                    hxy, hyz, hzw = homcat[(x, y)], homcat[(y, z)], homcat[(z, w)]
-                    for h in range(len(hzw.objects)):
-                        for g in range(len(hyz.objects)):
-                            for f in range(len(hxy.objects)):
-                                key = (x, y, z, w, h, g, f)
-                                check_cell(
-                                    f"associator({zero_cells[x]},{zero_cells[y]},"
-                                    f"{zero_cells[z]},{zero_cells[w]}; h={h},g={g},f={f})",
-                                    homcat[(x, w)],
-                                    associator.get(key),
-                                    _coherence_ends(hcomp_one, units, "associator", key),
-                                )
-
-    for side, table in (("left", left_unitor), ("right", right_unitor)):
-        for x in range(n):
-            for y in range(n):
-                for f in range(len(homcat[(x, y)].objects)):
-                    check_cell(
-                        f"{side} unitor({zero_cells[x]},{zero_cells[y]}; f={f})",
-                        homcat[(x, y)],
-                        table.get((x, y, f)),
-                        _coherence_ends(hcomp_one, units, side, (x, y, f)),
-                    )
+            problem = "not invertible"
+        else:
+            continue
+        if side == "associator":
+            x, y, z, w, h, g, f = key
+            name = (f"associator({zero_cells[x]},{zero_cells[y]},{zero_cells[z]},"
+                    f"{zero_cells[w]}; h={h},g={g},f={f})")
+        else:
+            x, y, f = key
+            name = f"{side} unitor({zero_cells[x]},{zero_cells[y]}; f={f})"
+        v.append(f"{name}: {problem}")
     return v
 
 
@@ -603,34 +585,30 @@ def bicat_to_json(bicat: FinBicat) -> dict:
         for x, u in enumerate(bicat.unit_one_cell)
     }
     out = {"zero_cells": list(zc), "hom": hom, "hcomp": hcomp, "units": units}
-    associators = []
-    for key, cell in sorted(bicat.associator.items()):
-        x, y, z, w, h, g, f = key
-        hxw = bicat.homcat[(x, w)]
-        src, _ = _coherence_ends(bicat.hcomp_one, bicat.unit_one_cell, "associator", key)
-        if cell == hxw.identity[src]:
+    cells = {"associator": bicat.associator, "left": bicat.left_unitor,
+             "right": bicat.right_unitor}
+    rows: dict = {side: [] for side in cells}
+    for side, key, cat, src, _ in _coherence_cells(len(zc), bicat.homcat,
+                                                   bicat.hcomp_one, bicat.unit_one_cell):
+        cell = cells[side].get(key)
+        if cell is None or cell == cat.identity[src]:
             continue
-        associators.append({
-            "path": f"{zc[x]}|{zc[y]}|{zc[z]}|{zc[w]}",
-            "h": bicat.homcat[(z, w)].objects[h],
-            "g": bicat.homcat[(y, z)].objects[g],
-            "f": bicat.homcat[(x, y)].objects[f],
-            "equals": hxw.morphisms[cell].name,
-        })
-    if associators:
-        out["associators"] = associators
-    unitors: dict = {}
-    for side, table in (("left", bicat.left_unitor), ("right", bicat.right_unitor)):
-        rows = []
-        for (x, y, f), cell in sorted(table.items()):
-            hxy = bicat.homcat[(x, y)]
-            src, _ = _coherence_ends(bicat.hcomp_one, bicat.unit_one_cell, side, (x, y, f))
-            if cell == hxy.identity[src]:
-                continue
-            rows.append({"path": f"{zc[x]}|{zc[y]}", "f": hxy.objects[f],
-                         "equals": hxy.morphisms[cell].name})
-        if rows:
-            unitors[side] = rows
+        if side == "associator":
+            x, y, z, w, h, g, f = key
+            rows[side].append({
+                "path": f"{zc[x]}|{zc[y]}|{zc[z]}|{zc[w]}",
+                "h": bicat.homcat[(z, w)].objects[h],
+                "g": bicat.homcat[(y, z)].objects[g],
+                "f": bicat.homcat[(x, y)].objects[f],
+                "equals": cat.morphisms[cell].name,
+            })
+        else:
+            x, y, f = key
+            rows[side].append({"path": f"{zc[x]}|{zc[y]}", "f": cat.objects[f],
+                               "equals": cat.morphisms[cell].name})
+    if rows["associator"]:
+        out["associators"] = rows["associator"]
+    unitors = {side: rows[side] for side in ("left", "right") if rows[side]}
     if unitors:
         out["unitors"] = unitors
     return out

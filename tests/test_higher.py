@@ -1,5 +1,6 @@
 """Bicategories, recursive characteristic data, internal equivalence."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from eulerkit import (
     BudgetExceededError,
     EulerDatum,
+    FinCat,
     FormatError,
     HomChiUndefinedError,
     ValidationError,
@@ -28,6 +30,7 @@ from eulerkit import (
     internal_equiv_classes,
     internally_equivalent,
 )
+from eulerkit.cli import main
 from oracles import oracle_chi
 
 POOL = [
@@ -296,3 +299,208 @@ def test_datum_json_roundtrip():
         assert datum_from_json(datum_to_json(datum)) == datum
     with pytest.raises(FormatError):
         datum_from_json({"level": 1, "cells": ["a"], "hom": {}, "junk": 0})
+
+
+def _z2_two_group_doc(associator="gt"):
+    """The 2-group with pi_1 = pi_2 = Z/2 whose associator is the cocycle
+    xyz generating H^3(Z/2; Z/2): one zero-cell *, 1-cells e and t, each
+    with automorphisms {1, g}; horizontal composition adds mod 2 on 1-cells
+    and on 2-cells, and the associator at (t, t, t) is the given 2-cell."""
+    hom = {
+        "objects": ["e", "t"],
+        "morphisms": [{"name": f"{c}{o}", "src": o, "tgt": o} for o in "et" for c in "1g"],
+        "identities": {"e": "1e", "t": "1t"},
+        "composition": [{"first": f"g{o}", "then": f"g{o}", "equals": f"1{o}"} for o in "et"],
+    }
+    add = {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"}
+    two = [
+        {"beta": f"{b}{g}", "alpha": f"{a}{f}",
+         "equals": f"{'1g'[(b == 'g') != (a == 'g')]}{add[(g, f)]}"}
+        for g in "et" for b in "1g" for f in "et" for a in "1g"
+    ]
+    return {
+        "zero_cells": ["*"],
+        "hom": {"*|*": hom},
+        "hcomp": {"*|*|*": {
+            "one_cells": [{"g": g, "f": f, "equals": add[(g, f)]} for (g, f) in add],
+            "two_cells": two,
+        }},
+        "units": {"*": "e"},
+        "associators": [
+            {"path": "*|*|*|*", "h": "t", "g": "t", "f": "t", "equals": associator}
+        ],
+    }
+
+
+def test_weak_two_group(tmp_path, capsys):
+    doc = _z2_two_group_doc()
+    bicat = bicat_from_json(doc)
+    out = bicat_to_json(bicat)
+    assert out["associators"] == [
+        {"path": "*|*|*|*", "h": "t", "g": "t", "f": "t", "equals": "gt"}
+    ]
+    assert "unitors" not in out
+    assert bicat_from_json(out) == bicat
+    assert oracle_chi([[1]]) == (True, Fraction(1))
+    assert bicat_euler_char(bicat).value == Fraction(1)
+    path = tmp_path / "two_group.json"
+    path.write_text(json.dumps(doc))
+    assert main(["chi-bicat", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "chi = 1"
+
+    with pytest.raises(ValidationError) as exc:
+        bicat_from_json(_z2_two_group_doc(associator="ge"))
+    assert exc.value.violations == [
+        "associator(*,*,*,*; h=1,g=1,f=1): endpoints 0->0, expected 1->1"
+    ]
+
+
+def _idempotent_bicat():
+    homcat, h1, h2, _ = _one_object_idempotent_parts()
+    return bicat_from_parts(["*"], homcat, h1, hcomp_two=h2, units=[0])
+
+
+def _with_extra_composite(cat, pair, value):
+    return FinCat(cat.objects, cat.morphisms, cat.identity, {**cat.comp, pair: value})
+
+
+H = "hcomp(*,*,*): "
+NF = H + "horizontal composition is not functorial at "
+ASSOC = "associator(*,*,*,*; h=1,g=1,f=1): "
+
+# One single-entry edit per kind of violation, with the full report it gives.
+# In the 2-group, 1-cells are 0 = e, 1 = t and 2-cells 0 = 1e, 1 = ge,
+# 2 = 1t, 3 = gt; in the idempotent bicategory 2-cell 1 is e with e e = e.
+PINNED_VIOLATIONS = [
+    ("broken hom-category", "two_group",
+     lambda p: p["homcat"].update({(0, 0): _with_extra_composite(p["homcat"][(0, 0)], (3, 1), 3)}),
+     ["hom(*,*): composite defined for non-composable pair (g=3, f=1)"]),
+    ("unit out of range", "two_group", lambda p: p.update(units=(2,)),
+     ["unit 1-cell of * is out of range"]),
+    ("1-cell composite missing", "two_group", lambda p: p["hcomp_one"][(0, 0, 0)].pop((1, 1)),
+     [H + "missing 1-cell composite for (1, 1)"]),
+    ("1-cell composite on out-of-range pair", "two_group",
+     lambda p: p["hcomp_one"][(0, 0, 0)].update({(2, 0): 0}),
+     [H + "1-cell composite on out-of-range pair (2, 0)"]),
+    ("1-cell composite out of range", "two_group",
+     lambda p: p["hcomp_one"][(0, 0, 0)].update({(1, 1): 2}),
+     [H + "1-cell composite (1, 1) -> 2 out of range",
+      H + "2-cell composite (2, 2) has source 0, expected 2",
+      H + "2-cell composite (2, 2) has target 0, expected 2",
+      H + "2-cell composite (2, 3) has source 0, expected 2",
+      H + "2-cell composite (2, 3) has target 0, expected 2",
+      H + "2-cell composite (3, 2) has source 0, expected 2",
+      H + "2-cell composite (3, 2) has target 0, expected 2",
+      H + "2-cell composite (3, 3) has source 0, expected 2",
+      H + "2-cell composite (3, 3) has target 0, expected 2",
+      "associator(*,*,*,*; h=1,g=0,f=1): endpoints 0->0, expected 2->2"]),
+    # e e = t moves the endpoints of cells of every kind: pins their report order
+    ("1-cell composite of the units", "two_group",
+     lambda p: p["hcomp_one"][(0, 0, 0)].update({(0, 0): 1}),
+     [H + "2-cell composite (0, 0) has source 0, expected 1",
+      H + "2-cell composite (0, 0) has target 0, expected 1",
+      H + "2-cell composite (0, 1) has source 0, expected 1",
+      H + "2-cell composite (0, 1) has target 0, expected 1",
+      H + "2-cell composite (1, 0) has source 0, expected 1",
+      H + "2-cell composite (1, 0) has target 0, expected 1",
+      H + "2-cell composite (1, 1) has source 0, expected 1",
+      H + "2-cell composite (1, 1) has target 0, expected 1",
+      "associator(*,*,*,*; h=0,g=0,f=0): endpoints 0->0, expected 1->1",
+      "associator(*,*,*,*; h=0,g=0,f=1): endpoints 1->1, expected 0->1",
+      "associator(*,*,*,*; h=0,g=1,f=1): endpoints 0->0, expected 0->1",
+      "associator(*,*,*,*; h=1,g=0,f=0): endpoints 1->1, expected 1->0",
+      "associator(*,*,*,*; h=1,g=1,f=0): endpoints 0->0, expected 1->0",
+      "left unitor(*,*; f=0): endpoints 0->0, expected 1->0",
+      "right unitor(*,*; f=0): endpoints 0->0, expected 1->0"]),
+    ("2-cell composite missing", "two_group", lambda p: p["hcomp_two"][(0, 0, 0)].pop((3, 3)),
+     [H + "missing 2-cell composite for (3, 3)"]),
+    ("2-cell composite on out-of-range pair", "two_group",
+     lambda p: p["hcomp_two"][(0, 0, 0)].update({(4, 0): 0}),
+     [H + "2-cell composite on out-of-range pair (4, 0)"]),
+    ("2-cell composite out of range", "two_group",
+     lambda p: p["hcomp_two"][(0, 0, 0)].update({(3, 3): 4}),
+     [H + "2-cell composite (3, 3) -> 4 out of range"]),
+    ("2-cell composite endpoints", "two_group",
+     lambda p: p["hcomp_two"][(0, 0, 0)].update({(3, 3): 2}),
+     [H + "2-cell composite (3, 3) has source 1, expected 0",
+      H + "2-cell composite (3, 3) has target 1, expected 0"]),
+    ("identity 2-cells", "two_group", lambda p: p["hcomp_two"][(0, 0, 0)].update({(0, 0): 1}),
+     [H + "identity 2-cells at (0, 0) do not compose to an identity",
+      NF + "((0,0) . (0,0))", NF + "((0,1) . (0,0))", NF + "((1,0) . (0,0))",
+      NF + "((1,1) . (0,0))", NF + "((0,0) . (0,1))", NF + "((0,1) . (0,1))",
+      NF + "((0,0) . (1,0))", NF + "((1,0) . (1,0))", NF + "((0,0) . (1,1))",
+      NF + "((1,1) . (1,1))"]),
+    ("not functorial", "two_group", lambda p: p["hcomp_two"][(0, 0, 0)].update({(1, 1): 1}),
+     [NF + "((1,0) . (0,1))", NF + "((1,1) . (0,1))", NF + "((0,1) . (1,0))",
+      NF + "((1,1) . (1,0))", NF + "((0,1) . (1,1))", NF + "((1,0) . (1,1))"]),
+    ("associator missing", "two_group", lambda p: p["associator"].pop((0, 0, 0, 0, 1, 1, 1)),
+     [ASSOC + "missing"]),
+    ("associator out of range", "two_group",
+     lambda p: p["associator"].update({(0, 0, 0, 0, 1, 1, 1): 4}),
+     [ASSOC + "cell index out of range"]),
+    ("associator endpoints", "two_group",
+     lambda p: p["associator"].update({(0, 0, 0, 0, 1, 1, 1): 1}),
+     [ASSOC + "endpoints 0->0, expected 1->1"]),
+    ("associator not invertible", "idempotent",
+     lambda p: p["associator"].update({(0, 0, 0, 0, 0, 0, 0): 1}),
+     ["associator(*,*,*,*; h=0,g=0,f=0): not invertible"]),
+    ("left unitor missing", "two_group", lambda p: p["left_unitor"].pop((0, 0, 1)),
+     ["left unitor(*,*; f=1): missing"]),
+    ("left unitor out of range", "two_group", lambda p: p["left_unitor"].update({(0, 0, 1): -1}),
+     ["left unitor(*,*; f=1): cell index out of range"]),
+    ("left unitor endpoints", "two_group", lambda p: p["left_unitor"].update({(0, 0, 1): 0}),
+     ["left unitor(*,*; f=1): endpoints 0->0, expected 1->1"]),
+    ("left unitor not invertible", "idempotent",
+     lambda p: p["left_unitor"].update({(0, 0, 0): 1}),
+     ["left unitor(*,*; f=0): not invertible"]),
+    ("right unitor missing", "two_group", lambda p: p["right_unitor"].pop((0, 0, 0)),
+     ["right unitor(*,*; f=0): missing"]),
+    ("right unitor out of range", "two_group", lambda p: p["right_unitor"].update({(0, 0, 0): 4}),
+     ["right unitor(*,*; f=0): cell index out of range"]),
+    ("right unitor endpoints", "two_group", lambda p: p["right_unitor"].update({(0, 0, 0): 3}),
+     ["right unitor(*,*; f=0): endpoints 1->1, expected 0->0"]),
+    ("right unitor not invertible", "idempotent",
+     lambda p: p["right_unitor"].update({(0, 0, 0): 1}),
+     ["right unitor(*,*; f=0): not invertible"]),
+]
+
+
+@pytest.mark.parametrize(
+    "base, edit, expected",
+    [case[1:] for case in PINNED_VIOLATIONS],
+    ids=[case[0] for case in PINNED_VIOLATIONS],
+)
+def test_each_violation_kind_reports_its_exact_list(base, edit, expected):
+    b = bicat_from_json(_z2_two_group_doc()) if base == "two_group" else _idempotent_bicat()
+    assert bicat_violations(b.zero_cells, b.homcat, b.hcomp_one, b.hcomp_two, b.unit_one_cell,
+                            b.associator, b.left_unitor, b.right_unitor) == []
+    parts = {
+        "zero_cells": b.zero_cells,
+        "homcat": dict(b.homcat),
+        "hcomp_one": {k: dict(v) for k, v in b.hcomp_one.items()},
+        "hcomp_two": {k: dict(v) for k, v in b.hcomp_two.items()},
+        "units": b.unit_one_cell,
+        "associator": dict(b.associator),
+        "left_unitor": dict(b.left_unitor),
+        "right_unitor": dict(b.right_unitor),
+    }
+    edit(parts)
+    assert bicat_violations(**parts) == expected
+
+
+def test_from_parts_rejects_out_of_range_hcomp_key():
+    with pytest.raises(FormatError, match=r"hcomp key \(0,0,1\) out of range"):
+        bicat_from_parts(
+            ["x"],
+            {(0, 0): catalog.discrete(1)},
+            {(0, 0, 0): {(0, 0): 0}, (0, 0, 1): {}},
+            units=[0],
+        )
+    with pytest.raises(FormatError, match=r"hcomp key \(0,2,0\) out of range"):
+        bicat_from_parts(
+            ["x"],
+            {(0, 0): catalog.discrete(1)},
+            {(0, 0, 0): {(0, 0): 0}},
+            hcomp_two={(0, 2, 0): {}},
+            units=[0],
+        )
