@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, FormatError, ValidationError
@@ -47,13 +48,24 @@ class FinCat:
     identity: tuple[int, ...]  # object index -> identity morphism index
     comp: dict[tuple[int, int], int]  # (g, f) -> g-after-f
 
+    @cached_property
+    def hom_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """hom_index[(x, y)] lists the morphisms x -> y, ascending; pairs
+        with no morphism are absent.
+
+        Built on first use and kept on the instance; it is not a field, so
+        equality, repr and JSON interchange ignore it.
+        """
+        index: dict[tuple[int, int], list[int]] = {}
+        for i, m in enumerate(self.morphisms):
+            index.setdefault((m.src, m.tgt), []).append(i)
+        return {pair: tuple(mors) for pair, mors in index.items()}
+
     def hom(self, x: int, y: int) -> tuple[int, ...]:
-        return tuple(
-            i for i, m in enumerate(self.morphisms) if m.src == x and m.tgt == y
-        )
+        return self.hom_index.get((x, y), ())
 
     def hom_count(self, x: int, y: int) -> int:
-        return sum(1 for m in self.morphisms if m.src == x and m.tgt == y)
+        return len(self.hom_index.get((x, y), ()))
 
     def object_index(self, name: str) -> int:
         return self.objects.index(name)

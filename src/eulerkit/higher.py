@@ -100,9 +100,18 @@ def _coherence_cells(n, homcat, hcomp_one, units):
                     yield side, (x, y, f), hom, table.get(pair), f
 
 
+def _check_unit_count(units, n):
+    if len(units) != n:
+        raise FormatError(f"units: list length {len(units)} != zero-cell count {n}")
+
+
 def _fill_strict_defaults(zero_cells, homcat, hcomp_one, hcomp_two, units,
                           associator, left_unitor, right_unitor):
-    """Complete omitted parts with their strict (identity) readings."""
+    """Complete omitted parts with their strict (identity) readings.
+
+    No default can be read from an hcomp key naming a missing zero-cell,
+    a 1-cell composite out of range of its hom-categories or a unit list
+    of the wrong length, so each raises FormatError naming the entry."""
     n = len(zero_cells)
     homcat = dict(homcat)
     for x in range(n):
@@ -112,17 +121,23 @@ def _fill_strict_defaults(zero_cells, homcat, hcomp_one, hcomp_two, units,
     for x, y, z in [*hcomp_one, *hcomp_two]:
         if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
             raise FormatError(f"hcomp key ({x},{y},{z}) out of range")
+    _check_unit_count(units, n)
     triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
     hcomp_one = {key: dict(hcomp_one.get(key, {})) for key in triples}
     hcomp_two = {key: dict(hcomp_two.get(key, {})) for key in triples}
     # Identity 2-cell pairs compose to the identity of the composite 1-cell.
     for (x, y, z), table in hcomp_one.items():
         two = hcomp_two[(x, y, z)]
-        hyz, hxy = homcat[(y, z)], homcat[(x, y)]
+        hyz, hxy, hxz = homcat[(y, z)], homcat[(x, y)], homcat[(x, z)]
         for (g, f), gf in table.items():
+            if not (0 <= g < len(hyz.objects) and 0 <= f < len(hxy.objects)
+                    and 0 <= gf < len(hxz.objects)):
+                raise FormatError(
+                    f"hcomp({zero_cells[x]},{zero_cells[y]},{zero_cells[z]}): "
+                    f"1-cell composite {(g, f)} -> {gf} out of range")
             pair = (hyz.identity[g], hxy.identity[f])
             if pair not in two:
-                two[pair] = homcat[(x, z)].identity[gf]
+                two[pair] = hxz.identity[gf]
     cells = {"associator": dict(associator or {}), "left": dict(left_unitor or {}),
              "right": dict(right_unitor or {})}
     for side, key, hom, src, _ in _coherence_cells(n, homcat, hcomp_one, units):
@@ -143,8 +158,7 @@ def bicat_violations(zero_cells, homcat, hcomp_one, hcomp_two, units,
         inner = category_violations(cat.objects, cat.morphisms, cat.identity, cat.comp)
         v.extend(f"hom({zero_cells[x]},{zero_cells[y]}): {msg}" for msg in inner)
 
-    if len(units) != n:
-        raise FormatError("unit list length != zero-cell count")
+    _check_unit_count(units, n)
     for x in range(n):
         if not (0 <= units[x] < len(homcat[(x, x)].objects)):
             v.append(f"unit 1-cell of {zero_cells[x]} is out of range")

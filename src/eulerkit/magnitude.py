@@ -45,10 +45,11 @@ class EulerResult:
 
 def adjacency(cat: FinCat) -> AdjacencyMatrix:
     n = len(cat.objects)
-    entries = tuple(
-        Fraction(cat.hom_count(i, j)) for i in range(n) for j in range(n)
-    )
-    return AdjacencyMatrix(QMatrix(n, n, entries))
+    entries = [Fraction(0)] * (n * n)
+    for (i, j), mors in cat.hom_index.items():
+        if 0 <= i < n and 0 <= j < n:  # an unvalidated FinCat may point outside
+            entries[i * n + j] = Fraction(len(mors))
+    return AdjacencyMatrix(QMatrix(n, n, tuple(entries)))
 
 
 def weighting_solution(matrix: QMatrix) -> LinearSolution:

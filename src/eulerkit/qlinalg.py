@@ -3,10 +3,16 @@
 Scalars are `fractions.Fraction` values, which are canonical by
 construction: fully reduced, positive denominator, zero stored as 0/1.
 Nothing in this module ever rounds or touches floating point.
+
+`solve_affine` is the one solver: it clears the denominators of each row
+and runs a single fraction-free (Bareiss) Gauss-Jordan elimination on
+Python ints, with the first-nonzero pivot rule.  No path computes with
+`Fraction` before the final division of each output entry by its pivot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -91,7 +97,7 @@ class QMatrix:
 
 def transpose(m: QMatrix) -> QMatrix:
     return QMatrix(
-        m.cols, m.rows, tuple(m[i, j] for j in range(m.cols) for i in range(m.rows))
+        m.cols, m.rows, tuple(e for j in range(m.cols) for e in m.entries[j :: m.cols])
     )
 
 
@@ -123,8 +129,24 @@ class LinearSolution:
     nullspace_basis: tuple[QVector, ...]
 
 
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators, as Python ints."""
+    scale = math.lcm(*(e.denominator for e in row))
+    if scale == 1:
+        return [e.numerator for e in row]
+    return [e.numerator * (scale // e.denominator) for e in row]
+
+
 def solve_affine(matrix: QMatrix, rhs: Sequence) -> LinearSolution:
-    """Gauss-Jordan solve of matrix * v = rhs over the rationals.
+    """Fraction-free Gauss-Jordan solve of matrix * v = rhs over the rationals.
+
+    Each row of [matrix | rhs] is first scaled by the lcm of its
+    denominators, which leaves the reduced row-echelon form unchanged.
+    The elimination then runs on Python ints with the Bareiss step
+    row_i = (pv*row_i - f*pivot_row) // prev_pivot for every row but the
+    pivot row; the division is exact, and after each step every pivot row
+    carries the same pivot value.  Each output entry is one final division
+    by that pivot, so no path computes with Fraction before it.
 
     Pivoting takes the first nonzero entry in column order, so the pivot
     column set is the lexicographically earliest independent column set.
@@ -133,28 +155,34 @@ def solve_affine(matrix: QMatrix, rhs: Sequence) -> LinearSolution:
     makes M v = 0 immediate from the reduced rows.
     """
     b = [_frac(x) for x in rhs]
-    if len(b) != matrix.rows:
-        raise ValueError(f"rhs length {len(b)} != rows {matrix.rows}")
-    n = matrix.cols
-    aug = [list(matrix.row(i)) + [b[i]] for i in range(matrix.rows)]
+    rows, n = matrix.rows, matrix.cols
+    if len(b) != rows:
+        raise ValueError(f"rhs length {len(b)} != rows {rows}")
+    aug = [_integer_row(matrix.row(i) + (b[i],)) for i in range(rows)]
     pivot_cols: list[int] = []
+    prev = 1
     r = 0
     for c in range(n):
-        pivot_row = next((i for i in range(r, matrix.rows) if aug[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, rows) if aug[i][c]), None)
         if pivot_row is None:
             continue
         aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][c]
-        aug[r] = [e / pv for e in aug[r]]
-        for i in range(matrix.rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        top = aug[r]
+        pv = top[c]
+        for i, row in enumerate(aug):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                aug[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+            elif pv != prev:
+                aug[i] = [pv * x // prev for x in row]
+        prev = pv
         pivot_cols.append(c)
         r += 1
-        if r == matrix.rows:
+        if r == rows:
             break
-    consistent = all(aug[i][n] == 0 for i in range(r, matrix.rows))
+    consistent = all(aug[i][n] == 0 for i in range(r, rows))
     pivot_set = set(pivot_cols)
     basis = []
     for free_col in range(n):
@@ -163,14 +191,14 @@ def solve_affine(matrix: QMatrix, rhs: Sequence) -> LinearSolution:
         v = [Fraction(0)] * n
         v[free_col] = Fraction(-1)
         for k, c in enumerate(pivot_cols):
-            v[c] = aug[k][free_col]
+            v[c] = Fraction(aug[k][free_col], aug[k][c])
         basis.append(tuple(v))
     # the nullspace belongs to the matrix, not the rhs, so report it either way
     if not consistent:
         return LinearSolution(False, None, tuple(basis))
     particular = [Fraction(0)] * n
     for k, c in enumerate(pivot_cols):
-        particular[c] = aug[k][n]
+        particular[c] = Fraction(aug[k][n], aug[k][c])
     return LinearSolution(True, tuple(particular), tuple(basis))
 
 

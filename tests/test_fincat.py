@@ -58,6 +58,24 @@ def test_basic_shapes():
     assert hom_count(catalog.parallel_pair(), 0, 1) == 2
 
 
+def test_hom_index_is_not_a_field():
+    for original in SUITE + [catalog.empty_category(), catalog.no_weighting_category()]:
+        doc = category_to_json(original)
+        cat, twin = category_from_json(doc), category_from_json(doc)
+        before = repr(cat)
+        assert cat.hom(0, 0) == cat.hom_index.get((0, 0), ())  # first use
+        assert cat == twin and twin == cat
+        assert repr(cat) == before and category_to_json(cat) == doc
+        n = len(cat.objects)
+        for x in range(-1, n + 1):
+            for y in range(-1, n + 1):
+                scan = tuple(
+                    i for i, m in enumerate(cat.morphisms) if m.src == x and m.tgt == y
+                )
+                assert cat.hom(x, y) == scan
+                assert cat.hom_count(x, y) == len(scan)
+
+
 def test_validation_catches_bad_tables():
     z3 = catalog.cyclic_group(3)
     # flip one non-identity composite: g1 g1 = g2 becomes g1 g1 = g1

@@ -504,3 +504,19 @@ def test_from_parts_rejects_out_of_range_hcomp_key():
             hcomp_two={(0, 2, 0): {}},
             units=[0],
         )
+
+
+# Out-of-range 1-cell composites and a short unit list used to reach a raw
+# IndexError while the identity defaults were filled in.
+@pytest.mark.parametrize(
+    "hcomp_one, units, message",
+    [
+        ({(0, 0, 0): {(0, 0): 5}}, [0], r"hcomp\(x,x,x\): 1-cell composite \(0, 0\) -> 5 out of range"),
+        ({(0, 0, 0): {(3, 0): 0}}, [0], r"hcomp\(x,x,x\): 1-cell composite \(3, 0\) -> 0 out of range"),
+        ({(0, 0, 0): {(0, 0): 0}}, [], r"units: list length 0 != zero-cell count 1"),
+    ],
+    ids=["composite value", "composite key", "short unit list"],
+)
+def test_from_parts_names_the_bad_entry(hcomp_one, units, message):
+    with pytest.raises(FormatError, match=message):
+        bicat_from_parts(["x"], {(0, 0): catalog.discrete(1)}, hcomp_one, units=units)

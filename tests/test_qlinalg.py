@@ -13,7 +13,7 @@ from eulerkit import (
     solve_affine,
     transpose,
 )
-from oracles import kron_oracle, oracle_solve
+from oracles import kron_oracle, oracle_solve, rank
 
 entries = st.integers(min_value=-3, max_value=3).map(Fraction) | st.fractions(
     min_value=-3, max_value=3, max_denominator=4
@@ -90,15 +90,85 @@ def test_solve_matches_oracle(m, data):
         assert tuple(got.particular) == tuple(x)
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices(), st.data())
+def assert_reduced_structure(m, b, s, free):
+    """The solution fixed by the reduced row-echelon form, whatever the
+    elimination: one kernel vector per free column c, with -1 at c and 0 at
+    every other free column and at every pivot column after c; the
+    particular solution vanishes on the free columns."""
+    assert len(s.nullspace_basis) == len(free)
+    pivots = [c for c in range(m.cols) if c not in free]
+    for c, v in zip(free, s.nullspace_basis):
+        assert m.apply(v) == tuple([Fraction(0)] * m.rows)
+        assert v[c] == -1
+        assert all(v[d] == 0 for d in free if d != c)
+        assert all(v[p] == 0 for p in pivots if p > c)
+    if s.consistent:
+        assert all(s.particular[c] == 0 for c in free)
+        assert m.apply(s.particular) == b
+
+
+@st.composite
+def deficient_matrices(draw, max_side=4):
+    """A matrix whose column c is a combination of the columns before it,
+    so that a free column can come before a pivot column."""
+    m = draw(matrices(max_side))
+    if m.cols < 2:
+        return m
+    c = draw(st.integers(min_value=1, max_value=m.cols - 1))
+    coef = draw(st.lists(entries, min_size=c, max_size=c))
+    rows = rows_of(m)
+    for r in rows:
+        r[c] = sum((k * x for k, x in zip(coef, r)), Fraction(0))
+    return QMatrix.from_rows(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices() | deficient_matrices(), st.data())
 def test_solution_set_structure(m, data):
     b = tuple(data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows)))
     s = solve_affine(m, b)
-    for v in s.nullspace_basis:
-        assert m.apply(v) == tuple([Fraction(0)] * m.rows)
-    if s.consistent:
-        assert m.apply(s.particular) == b
+    rows = rows_of(m)
+    prefix_rank = [rank([r[:c] for r in rows]) for c in range(m.cols + 1)]
+    free = [c for c in range(m.cols) if prefix_rank[c + 1] == prefix_rank[c]]
+    assert_reduced_structure(m, b, s, free)
+
+
+def test_solution_structure_10x10_mixed_denominators():
+    # M = T R: R is in reduced form with free columns 3 and 7, and T has
+    # full column rank with row 9 a copy of row 4, so M has the kernel and
+    # the free columns of R and a duplicate row.
+    free = [3, 7]
+    pivots = [c for c in range(10) if c not in free]
+    r_rows = []
+    for k, p in enumerate(pivots):
+        row = [Fraction(0)] * 10
+        row[p] = Fraction(1)
+        for c in free:
+            if c > p:
+                row[c] = Fraction((3 * k + c) % 7 - 3, 1 + (k + c) % 5)
+        r_rows.append(row)
+    t_rows = [
+        [Fraction(1) if j == i else Fraction((i * 5 + j * 3) % 9 - 4, 1 + (i + 2 * j) % 6)
+         if j < i else Fraction(0) for j in range(8)]
+        for i in range(8)
+    ]
+    t_rows.append([Fraction(j - 3, 2 + j % 3) for j in range(8)])
+    t_rows.append(list(t_rows[4]))
+    m = QMatrix.from_rows(
+        [[sum((t[k] * r_rows[k][c] for k in range(8)), Fraction(0)) for c in range(10)]
+         for t in t_rows]
+    )
+    assert m.row(9) == m.row(4)
+    x = [Fraction(j % 4 - 1, 1 + j % 3) for j in range(10)]
+    b = m.apply(x)
+    s = solve_affine(m, b)
+    assert s.consistent
+    assert_reduced_structure(m, b, s, free)
+    # breaking the duplicate row makes the system inconsistent; the kernel stays
+    broken = b[:9] + (b[9] + Fraction(1, 3),)
+    t = solve_affine(m, broken)
+    assert not t.consistent and t.particular is None
+    assert t.nullspace_basis == s.nullspace_basis
 
 
 @settings(max_examples=40, deadline=None)
