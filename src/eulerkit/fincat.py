@@ -84,38 +84,12 @@ def hom_count(cat: FinCat, x: int, y: int) -> int:
     return cat.hom_count(x, y)
 
 
-def _normalize_morphisms(morphisms) -> tuple[Morphism, ...]:
-    out = []
-    for m in morphisms:
-        if isinstance(m, Morphism):
-            out.append(m)
-        else:
-            name, src, tgt = m
-            out.append(Morphism(str(name), int(src), int(tgt)))
-    return tuple(out)
-
-
-def _normalize_identity(identity, n_objects: int) -> tuple[int, ...]:
-    if isinstance(identity, Mapping):
-        missing = [x for x in range(n_objects) if x not in identity]
-        if missing:
-            raise FormatError(f"identity map missing objects {missing}")
-        return tuple(int(identity[x]) for x in range(n_objects))
-    identity = tuple(int(i) for i in identity)
-    if len(identity) != n_objects:
-        raise FormatError(
-            f"identity list length {len(identity)} != object count {n_objects}"
-        )
-    return identity
-
-
 def with_identity_composites(
     morphisms: Sequence[Morphism],
     identity: Sequence[int],
     comp: Mapping[tuple[int, int], int],
 ) -> dict[tuple[int, int], int]:
     """Fill in absent identity composites; never overwrites explicit entries."""
-    morphisms = _normalize_morphisms(morphisms)
     full = dict(comp)
     for f, m in enumerate(morphisms):
         key = (identity[m.tgt], f)
@@ -136,13 +110,14 @@ def _arrows_from(morphisms) -> dict[int, list[int]]:
 
 
 def category_violations(objects, morphisms, identity, comp) -> list[str]:
-    """Every axiom violation in the raw data, each citing the offending indices.
+    """Every axiom violation in the parts, each citing the offending indices.
 
-    Precondition failures (bad indices, non-unique names) raise FormatError:
-    they are schema problems, not axiom violations.
+    The parts are taken in the form FinCat stores them: str object names,
+    Morphism tuples, an int identity sequence and an int (g, f) -> h table.
+    Nothing is coerced.  Precondition failures (bad indices, non-unique
+    names, a wrong identity length) raise FormatError: they are schema
+    problems, not axiom violations.
     """
-    objects = tuple(str(o) for o in objects)
-    morphisms = _normalize_morphisms(morphisms)
     if len(set(objects)) != len(objects):
         raise FormatError("object names are not unique")
     names = [m.name for m in morphisms]
@@ -152,11 +127,11 @@ def category_violations(objects, morphisms, identity, comp) -> list[str]:
     for i, m in enumerate(morphisms):
         if not (0 <= m.src < n_obj and 0 <= m.tgt < n_obj):
             raise FormatError(f"morphism {i} has out-of-range endpoints")
-    identity = _normalize_identity(identity, n_obj)
+    if len(identity) != n_obj:
+        raise FormatError(f"identity list length {len(identity)} != object count {n_obj}")
     for x, i in enumerate(identity):
         if not (0 <= i < n_mor):
             raise FormatError(f"identity of object {x} is out of range")
-    comp = {(int(g), int(f)): int(h) for (g, f), h in dict(comp).items()}
     for (g, f), h in comp.items():
         for idx in (g, f, h):
             if not (0 <= idx < n_mor):
@@ -219,15 +194,14 @@ def category_violations(objects, morphisms, identity, comp) -> list[str]:
 
 
 def validate_category(objects, morphisms, identity, comp) -> FinCat:
-    """Validated FinCat, or ValidationError carrying every violation."""
+    """Validated FinCat, or ValidationError carrying every violation.
+
+    The one way parts become a checked FinCat.  The parts are taken in
+    stored form, as in category_violations, and are not coerced."""
     violations = category_violations(objects, morphisms, identity, comp)
     if violations:
         raise ValidationError(violations)
-    objects = tuple(str(o) for o in objects)
-    morphisms = _normalize_morphisms(morphisms)
-    identity = _normalize_identity(identity, len(objects))
-    comp = {(int(g), int(f)): int(h) for (g, f), h in dict(comp).items()}
-    return FinCat(objects, morphisms, identity, comp)
+    return FinCat(tuple(objects), tuple(morphisms), tuple(identity), dict(comp))
 
 
 def opposite(cat: FinCat) -> FinCat:
@@ -341,7 +315,10 @@ def iso_classes(cat: FinCat) -> IsoPartition:
 
 def skeleton(cat: FinCat) -> FinCat:
     """Full subcategory on the least-index representative of each iso class."""
-    part = iso_classes(cat)
+    return _skeleton(cat, iso_classes(cat))
+
+
+def _skeleton(cat: FinCat, part: IsoPartition) -> FinCat:
     keep_obj = list(part.representatives)
     obj_remap = {x: i for i, x in enumerate(keep_obj)}
     keep_mor = [
@@ -429,6 +406,13 @@ def categories_isomorphic(
     if sorted(prof_a) != sorted(prof_b):
         return None
 
+    nm = len(a.morphisms)
+    # equations[i] lists the composition equations (g, f, h) that mention i.
+    equations: list[list[tuple[int, int, int]]] = [[] for _ in range(nm)]
+    for (g, f), h in a.comp.items():
+        for i in {g, f, h}:
+            equations[i].append((g, f, h))
+
     obj_map: list[int | None] = [None] * n
     used_obj = [False] * n
 
@@ -455,8 +439,6 @@ def categories_isomorphic(
             obj_map[x] = None
             used_obj[y] = False
 
-    nm = len(a.morphisms)
-
     def extend_morphisms(sigma: list[int]) -> list[int] | None:
         mor_map: list[int | None] = [None] * nm
         used = [False] * len(b.morphisms)
@@ -472,10 +454,8 @@ def categories_isomorphic(
         order = [i for i in range(nm) if mor_map[i] is None]
 
         def consistent(i: int) -> bool:
-            # Check every composition equation whose three slots are assigned.
-            for (g, f), h in a.comp.items():
-                if i not in (g, f, h):
-                    continue
+            # Check every equation on i whose three slots are assigned.
+            for g, f, h in equations[i]:
                 mg, mf, mh = mor_map[g], mor_map[f], mor_map[h]
                 if mg is None or mf is None or mh is None:
                     continue
@@ -530,7 +510,7 @@ def equivalence_witness(
 ) -> EquivalenceWitness | None:
     """Equivalence decided through skeleton isomorphism; None when inequivalent."""
     part_a, part_b = iso_classes(a), iso_classes(b)
-    sk_a, sk_b = skeleton(a), skeleton(b)
+    sk_a, sk_b = _skeleton(a, part_a), _skeleton(b, part_b)
     iso = categories_isomorphic(sk_a, sk_b, budget=budget)
     if iso is None:
         return None
@@ -576,6 +556,12 @@ def _check_keys(data, allowed: Mapping[str, type], where: str,
 
 def category_from_json(data: dict) -> FinCat:
     """Decode, infer omitted identity composites, and validate."""
+    return validate_category(*_category_parts(data))
+
+
+def _category_parts(data: dict):
+    """The four stored-form parts of a category document, identity
+    composites filled in; the category axioms are not checked."""
     _check_keys(data, _CATEGORY_KEYS, "category")
     objects = data["objects"]
     if not all(isinstance(o, str) for o in objects):
@@ -623,7 +609,7 @@ def category_from_json(data: dict) -> FinCat:
 
     identity = tuple(identity)
     comp = with_identity_composites(morphisms, identity, comp)
-    return validate_category(objects, morphisms, identity, comp)
+    return tuple(objects), tuple(morphisms), identity, comp
 
 
 def category_to_json(cat: FinCat) -> dict:

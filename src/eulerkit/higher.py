@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import catalog
 from .errors import (
     BudgetExceededError,
     FormatError,
@@ -31,17 +32,15 @@ from .errors import (
 from .fincat import (
     FinCat,
     IsoPartition,
-    Morphism,
     _arrows_from,
+    _category_parts,
     _check_keys,
     _is_invertible,
     _partition,
-    category_from_json,
     category_to_json,
     category_violations,
     objects_isomorphic,
     search_budget,
-    validate_category,
 )
 from .magnitude import EulerResult, Weighting, euler_char, euler_of_matrix
 from .qlinalg import QMatrix
@@ -152,10 +151,13 @@ def bicat_violations(zero_cells, homcat, hcomp_one, hcomp_two, units,
     v: list[str] = []
     n = len(zero_cells)
 
+    broken = set()  # hom-categories that are not categories
     for (x, y), cat in sorted(homcat.items()):
         if not (0 <= x < n and 0 <= y < n):
             raise FormatError(f"hom-category key ({x},{y}) out of range")
         inner = category_violations(cat.objects, cat.morphisms, cat.identity, cat.comp)
+        if inner:
+            broken.add((x, y))
         v.extend(f"hom({zero_cells[x]},{zero_cells[y]}): {msg}" for msg in inner)
 
     _check_unit_count(units, n)
@@ -203,8 +205,10 @@ def bicat_violations(zero_cells, homcat, hcomp_one, hcomp_two, units,
             if want_tgt is not None and got.tgt != want_tgt:
                 v.append(f"{where}: 2-cell composite {(b, a)} has target {got.tgt}, expected {want_tgt}")
                 ok_endpoints = False
-        # Functoriality of horizontal composition.
-        if not two.keys() - dom2 and not dom2 - two.keys() and ok_endpoints:
+        # Functoriality of horizontal composition, where all three homs are
+        # categories: a broken one is already reported and may lack composites.
+        if (not two.keys() - dom2 and not dom2 - two.keys() and ok_endpoints
+                and broken.isdisjoint({(y, z), (x, y), (x, z)})):
             for (g, f), gf in sorted(table.items()):
                 if (g, f) in dom:
                     idp = (hyz.identity[g], hxy.identity[f])
@@ -272,15 +276,6 @@ def bicat_from_parts(zero_cells, homcat, hcomp_one, hcomp_two=None, units=None,
                     associator, left_unitor, right_unitor)
 
 
-def discrete_category(names) -> FinCat:
-    """Category with the given objects and only identity morphisms."""
-    names = tuple(str(o) for o in names)
-    morphisms = tuple(Morphism(f"1{o}", i, i) for i, o in enumerate(names))
-    return validate_category(
-        names, morphisms, tuple(range(len(names))), {(i, i): i for i in range(len(names))}
-    )
-
-
 def cat_as_bicat(cat: FinCat) -> FinBicat:
     """View a category as a strict bicategory with discrete hom-categories."""
     n = len(cat.objects)
@@ -289,7 +284,7 @@ def cat_as_bicat(cat: FinCat) -> FinBicat:
     for pair, mors in hom_lists.items():
         local.update({(pair, m): i for i, m in enumerate(mors)})
     homcat = {
-        pair: discrete_category([cat.morphisms[m].name for m in mors])
+        pair: catalog.discrete(len(mors), [cat.morphisms[m].name for m in mors])
         for pair, mors in hom_lists.items()
     }
     hcomp_one = {}
@@ -491,10 +486,11 @@ def bicat_from_json(data: dict) -> FinBicat:
         raise FormatError("bicategory: zero-cell names are not unique")
     names = {z: i for i, z in enumerate(zero_cells)}
 
+    # Homs are decoded unchecked: bicat_violations checks each one once.
     homcat = {}
     for key, sub in data["hom"].items():
         pair = _split_key(key, 2, "hom", names)
-        homcat[pair] = category_from_json(sub)
+        homcat[pair] = FinCat(*_category_parts(sub))
     n = len(zero_cells)
     for x in range(n):
         for y in range(n):

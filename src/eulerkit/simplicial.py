@@ -20,7 +20,6 @@ from .fincat import (
     FinCat,
     Morphism,
     _check_keys,
-    category_violations,
     search_budget,
     validate_category,
 )
@@ -483,12 +482,12 @@ def category_from_nerve(sset: TruncatedSSet) -> FinCat:
                     f"({one[g]!r}, {one[f]!r}), expected exactly 1"
                 )
             comp[(g, f)] = mor_index[sset.face[(2, 1)][found[0]]]
-    violations = category_violations(objects, morphisms, identity, comp)
-    if violations:
+    try:
+        return validate_category(objects, morphisms, identity, comp)
+    except ValidationError as e:
         raise NotNerveShapedError(
-            "extracted tables violate the category axioms: " + "; ".join(violations[:3])
-        )
-    return FinCat(objects, morphisms, identity, comp)
+            "extracted tables violate the category axioms: " + "; ".join(e.violations[:3])
+        ) from None
 
 
 # --- combinations ---------------------------------------------------------------

@@ -392,3 +392,16 @@ def test_deeply_nested_file_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert str(path) in captured.err and "nested too deeply" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_chi_bicat_names_the_broken_hom(tmp_path, capsys):
+    doc = bicat_to_json(catalog.suspension_z2())
+    hom = doc["hom"]["x|x"]
+    hom["composition"] = [e for e in hom["composition"]
+                          if (e["first"], e["then"]) != ("g1", "g1")]
+    path = _write(tmp_path, "broken_hom.json", doc)
+    assert main(["chi-bicat", path]) == 1
+    captured = capsys.readouterr()
+    assert "  - hom(x,x): missing composite for composable pair (g=1, f=1)" in (
+        captured.out.splitlines())
+    assert "Traceback" not in captured.out + captured.err

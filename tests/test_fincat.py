@@ -9,6 +9,7 @@ from eulerkit import (
     BudgetExceededError,
     FormatError,
     Functor,
+    Morphism,
     ValidationError,
     catalog,
     categories_isomorphic,
@@ -261,3 +262,43 @@ def test_equivalence_is_invariant_under_skeleton(a, b):
     # and its skeleton
     assert equivalent(a, skeleton(a))
     assert equivalent(a, b) == equivalent(skeleton(a), skeleton(b))
+
+
+def _arrow_parts(**change):
+    cat = catalog.arrow()
+    parts = dict(objects=cat.objects, morphisms=cat.morphisms,
+                 identity=cat.identity, comp=cat.comp)
+    parts.update(change)
+    return parts
+
+
+# Schema problems in stored-form parts raise FormatError before any axiom is
+# checked, and validate_category raises the same error.
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(objects=("x", "x")), "object names are not unique"),
+        (dict(morphisms=(Morphism("1x", 0, 0), Morphism("1x", 1, 1), Morphism("f", 0, 1))),
+         "morphism names are not unique"),
+        (dict(morphisms=(Morphism("1x", 0, 0), Morphism("1y", 1, 1), Morphism("f", 0, 2))),
+         "morphism 2 has out-of-range endpoints"),
+        (dict(identity=(0,)), "identity list length 1 != object count 2"),
+        (dict(identity=(0, 3)), "identity of object 1 is out of range"),
+        (dict(comp={(2, 0): 5}), r"composition entry \(2,0\)->5 out of range"),
+    ],
+    ids=["objects", "morphisms", "endpoints", "identity length", "identity", "composite"],
+)
+def test_stored_form_schema_errors_keep_their_messages(change, message):
+    parts = _arrow_parts(**change)
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        category_violations(**parts)
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        validate_category(**parts)
+
+
+def test_validate_category_stores_the_parts_it_checked():
+    cat = catalog.thick_arrow()
+    built = validate_category(list(cat.objects), list(cat.morphisms),
+                              list(cat.identity), dict(cat.comp))
+    assert built == cat
+    assert isinstance(built.objects, tuple) and isinstance(built.identity, tuple)

@@ -520,3 +520,18 @@ def test_from_parts_rejects_out_of_range_hcomp_key():
 def test_from_parts_names_the_bad_entry(hcomp_one, units, message):
     with pytest.raises(FormatError, match=message):
         bicat_from_parts(["x"], {(0, 0): catalog.discrete(1)}, hcomp_one, units=units)
+
+
+def test_hom_missing_a_composite_is_reported_not_raised():
+    # Functoriality used to look the missing composite up and raise KeyError.
+    z2 = catalog.cyclic_group(2)
+    comp = dict(z2.comp)
+    del comp[(1, 1)]
+    broken = FinCat(z2.objects, z2.morphisms, z2.identity, comp)
+    two = {(b, a): (a + b) % 2 for b in range(2) for a in range(2)}
+    with pytest.raises(ValidationError) as exc:
+        bicat_from_parts(["*"], {(0, 0): broken}, {(0, 0, 0): {(0, 0): 0}},
+                         {(0, 0, 0): two}, units=[0])
+    assert exc.value.violations == [
+        "hom(*,*): missing composite for composable pair (g=1, f=1)"
+    ]

@@ -443,3 +443,22 @@ def test_product_and_coproduct_tables_by_hand():
         (1, 1): {"0:0|0": "0:0", "1:0|0": "1:0", "1:0|1": "1:0", "1:1|1": "1:1"},
     }
     assert coprod.degeneracy == {(0, 0): {"0:0": "0:0|0", "1:0": "1:0|0", "1:1": "1:1|1"}}
+
+
+def test_non_associative_reconstruction_is_not_a_nerve():
+    # In the nerve of Z/3, sending g1|g1 to g0 instead of g2 keeps a valid
+    # structure with unique inner fillers whose composition is not associative.
+    doc = sset_to_json(nerve(catalog.cyclic_group(3), 2))
+    assert doc["faces"]["2,1"]["g1|g1"] == "g2"
+    doc["faces"]["2,1"]["g1|g1"] = "g0"
+    skewed = sset_from_json(doc)
+    assert filler_report(skewed).nerve_shaped
+    assert classify_sset(skewed) == "other"
+    with pytest.raises(NotNerveShapedError) as exc:
+        category_from_nerve(skewed)
+    assert str(exc.value) == (
+        "extracted tables violate the category axioms: "
+        "associativity fails at triple (h=2, g=1, f=1): h(gf)=2 but (hg)f=1; "
+        "associativity fails at triple (h=2, g=2, f=1): h(gf)=2 but (hg)f=0; "
+        "associativity fails at triple (h=1, g=1, f=2): h(gf)=1 but (hg)f=2"
+    )
