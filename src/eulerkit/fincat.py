@@ -19,10 +19,8 @@ from .errors import BudgetExceededError, FormatError, ValidationError
 DEFAULT_BUDGET = 10_000_000
 
 
-def search_budget(budget: int | None = None) -> int:
-    """Resolve the node budget: explicit arg, else EULERKIT_BUDGET, else 10^7."""
-    if budget is not None:
-        return budget
+def search_budget() -> int:
+    """The node cap of one search call: EULERKIT_BUDGET, else 10^7."""
     raw = os.environ.get("EULERKIT_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -33,6 +31,21 @@ def search_budget(budget: int | None = None) -> int:
     if value <= 0:
         raise FormatError("EULERKIT_BUDGET must be positive")
     return value
+
+
+def _node_counter():
+    """tick() for one search call: it counts one node and raises
+    BudgetExceededError past the cap read here, once."""
+    limit = search_budget()
+    nodes = 0
+
+    def tick():
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceededError(limit)
+
+    return tick
 
 
 class Morphism(NamedTuple):
@@ -380,23 +393,16 @@ def _object_profile(cat: FinCat, x: int):
     )
 
 
-def categories_isomorphic(
-    a: FinCat, b: FinCat, budget: int | None = None
-) -> Functor | None:
+def categories_isomorphic(a: FinCat, b: FinCat) -> Functor | None:
     """Bijective structure-preserving functor a -> b, or None.
 
     Backtracks over object bijections pruned by hom-count profiles, then
-    over per-hom-set morphism bijections with composition checks.  Raises
-    BudgetExceededError when the node budget runs out undecided.
+    over per-hom-set morphism bijections with composition checks.  Each
+    object assignment and each morphism candidate tried is one node; past
+    EULERKIT_BUDGET nodes (see search_budget) the search raises
+    BudgetExceededError.
     """
-    limit = search_budget(budget)
-    nodes = 0
-
-    def tick():
-        nonlocal nodes
-        nodes += 1
-        if nodes > limit:
-            raise BudgetExceededError(limit)
+    tick = _node_counter()
 
     n = len(a.objects)
     if n != len(b.objects) or len(a.morphisms) != len(b.morphisms):
@@ -505,13 +511,14 @@ class EquivalenceWitness:
     object_map: tuple[int, ...]  # source object -> target object
 
 
-def equivalence_witness(
-    a: FinCat, b: FinCat, budget: int | None = None
-) -> EquivalenceWitness | None:
-    """Equivalence decided through skeleton isomorphism; None when inequivalent."""
+def equivalence_witness(a: FinCat, b: FinCat) -> EquivalenceWitness | None:
+    """Equivalence decided through skeleton isomorphism; None when inequivalent.
+
+    The skeleton isomorphism search runs under EULERKIT_BUDGET, as in
+    categories_isomorphic."""
     part_a, part_b = iso_classes(a), iso_classes(b)
     sk_a, sk_b = _skeleton(a, part_a), _skeleton(b, part_b)
-    iso = categories_isomorphic(sk_a, sk_b, budget=budget)
+    iso = categories_isomorphic(sk_a, sk_b)
     if iso is None:
         return None
     # Skeleton object i is the representative of class i, so the iso's object
@@ -524,8 +531,9 @@ def equivalence_witness(
     return EquivalenceWitness(part_a, part_b, object_map)
 
 
-def equivalent(a: FinCat, b: FinCat, budget: int | None = None) -> bool:
-    return equivalence_witness(a, b, budget=budget) is not None
+def equivalent(a: FinCat, b: FinCat) -> bool:
+    """Whether a and b are equivalent; see equivalence_witness."""
+    return equivalence_witness(a, b) is not None
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
-from .errors import (
-    BudgetExceededError,
-    FormatError,
-    HomChiUndefinedError,
-    ValidationError,
-)
+from .errors import FormatError, HomChiUndefinedError, ValidationError
 from .fincat import (
     FinCat,
     IsoPartition,
@@ -36,11 +31,11 @@ from .fincat import (
     _category_parts,
     _check_keys,
     _is_invertible,
+    _node_counter,
     _partition,
     category_to_json,
     category_violations,
     objects_isomorphic,
-    search_budget,
 )
 from .magnitude import EulerResult, Weighting, euler_char, euler_of_matrix
 from .qlinalg import QMatrix
@@ -418,22 +413,21 @@ def chi_n(datum: EulerDatum, _path: tuple = ()) -> EulerResult:
 # --- internal equivalence ------------------------------------------------------
 
 
-def internally_equivalent(bicat: FinBicat, x: int, y: int,
-                          budget: int | None = None) -> bool:
-    """1-cells f: x->y, g: y->x with both round trips isomorphic to units."""
+def internally_equivalent(bicat: FinBicat, x: int, y: int) -> bool:
+    """1-cells f: x->y, g: y->x with both round trips isomorphic to units.
+
+    Each (f, g) pair tried is one node; past EULERKIT_BUDGET nodes (see
+    fincat.search_budget) the search raises BudgetExceededError."""
     if x == y:
         return True
-    limit = search_budget(budget)
-    nodes = 0
+    tick = _node_counter()
     hom_xy = bicat.homcat[(x, y)]
     hom_yx = bicat.homcat[(y, x)]
     gf_table = bicat.hcomp_one[(x, y, x)]
     fg_table = bicat.hcomp_one[(y, x, y)]
     for f in range(len(hom_xy.objects)):
         for g in range(len(hom_yx.objects)):
-            nodes += 1
-            if nodes > limit:
-                raise BudgetExceededError(limit)
+            tick()
             if objects_isomorphic(
                 bicat.homcat[(x, x)], gf_table[(g, f)], bicat.unit_one_cell[x]
             ) and objects_isomorphic(
@@ -443,10 +437,11 @@ def internally_equivalent(bicat: FinBicat, x: int, y: int,
     return False
 
 
-def internal_equiv_classes(bicat: FinBicat, budget: int | None = None) -> IsoPartition:
+def internal_equiv_classes(bicat: FinBicat) -> IsoPartition:
+    """Zero-cells partitioned by internal equivalence; each pair's search
+    runs under its own EULERKIT_BUDGET, as in internally_equivalent."""
     return _partition(
-        len(bicat.zero_cells),
-        lambda x, y: internally_equivalent(bicat, x, y, budget=budget),
+        len(bicat.zero_cells), lambda x, y: internally_equivalent(bicat, x, y)
     )
 
 

@@ -15,12 +15,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BudgetExceededError, FormatError, NotNerveShapedError, ValidationError
+from .errors import FormatError, NotNerveShapedError, ValidationError
 from .fincat import (
     FinCat,
     Morphism,
     _check_keys,
-    search_budget,
+    _node_counter,
     validate_category,
 )
 from .magnitude import EulerResult, euler_char
@@ -345,7 +345,7 @@ def enumerate_inner_horns(sset: TruncatedSSet, n: int, k: int) -> list[HornInsta
         raise ValueError("horn level must satisfy 2 <= n <= dim")
     if not 0 < k < n:
         raise ValueError("inner horns need 0 < k < n")
-    limit = search_budget()
+    tick = _node_counter()
     positions = [i for i in range(n + 1) if i != k]
     level = sset.level(n - 1)
     # per position j: (d_{j-1}, d_i, index of d_i) for each earlier position i
@@ -359,13 +359,9 @@ def enumerate_inner_horns(sset: TruncatedSSet, n: int, k: int) -> list[HornInsta
     ]
     out: list[HornInstance] = []
     chosen: list[str] = []
-    nodes = 0
 
     def extend(idx):
-        nonlocal nodes
-        nodes += 1
-        if nodes > limit:
-            raise BudgetExceededError(limit)
+        tick()
         if idx == len(positions):
             out.append(HornInstance(n, k, dict(zip(positions, chosen))))
             return

@@ -29,6 +29,7 @@ from eulerkit import (
     euler_char,
     internal_equiv_classes,
     internally_equivalent,
+    product,
 )
 from eulerkit.cli import main
 from oracles import oracle_chi
@@ -244,12 +245,15 @@ def test_internal_equivalence_classes():
     ]
 
 
-def test_internal_equivalence_basics():
+def test_internal_equivalence_basics(monkeypatch):
     susp = catalog.suspension_z2()
     assert internally_equivalent(susp, 0, 0)
     assert internally_equivalent(susp, 0, 1)
+    retract = cat_as_bicat(product(catalog.walking_retract(), catalog.cyclic_group(2)))
+    assert not internally_equivalent(retract, 0, 1)
+    monkeypatch.setenv("EULERKIT_BUDGET", "3")
     with pytest.raises(BudgetExceededError):
-        internally_equivalent(susp, 0, 1, budget=0)
+        internally_equivalent(retract, 0, 1)
 
 
 def test_equivalent_zero_cells_have_equivalent_homs():
