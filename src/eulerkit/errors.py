@@ -22,11 +22,13 @@ class FormatError(EulerkitError):
 
 
 class BudgetExceededError(EulerkitError):
-    """A backtracking search ran past its node budget before deciding."""
+    """A backtracking search ran past its node budget before deciding;
+    `search` names the search."""
 
-    def __init__(self, budget):
+    def __init__(self, budget, search):
         self.budget = budget
-        super().__init__(f"search budget of {budget} nodes exceeded")
+        self.search = search
+        super().__init__(f"search budget of {budget} nodes exceeded in {search}")
 
 
 class HomChiUndefinedError(EulerkitError):

@@ -33,9 +33,9 @@ def search_budget() -> int:
     return value
 
 
-def _node_counter():
-    """tick() for one search call: it counts one node and raises
-    BudgetExceededError past the cap read here, once."""
+def _node_counter(search: str):
+    """tick() for one call of the named search: it counts one node and
+    raises BudgetExceededError past the cap read here, once."""
     limit = search_budget()
     nodes = 0
 
@@ -43,7 +43,7 @@ def _node_counter():
         nonlocal nodes
         nodes += 1
         if nodes > limit:
-            raise BudgetExceededError(limit)
+            raise BudgetExceededError(limit, search)
 
     return tick
 
@@ -224,13 +224,24 @@ def opposite(cat: FinCat) -> FinCat:
     return validate_category(cat.objects, morphisms, cat.identity, comp)
 
 
+_PAIR_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
+
+
+def _pair_name(a: str, b: str) -> str:
+    """The name of the pair (a, b): `(a,b)` with each of `\\ , ( )`
+    backslash-escaped inside a and b, so distinct pairs get distinct names
+    and names without those characters come out unchanged."""
+    return f"({a.translate(_PAIR_ESCAPES)},{b.translate(_PAIR_ESCAPES)})"
+
+
 def product(a: FinCat, b: FinCat) -> FinCat:
-    """Product category on lexicographically ordered pairs."""
+    """Product category on lexicographically ordered pairs, named by
+    _pair_name."""
     nb = len(b.objects)
     nmb = len(b.morphisms)
-    objects = tuple(f"({x},{y})" for x in a.objects for y in b.objects)
+    objects = tuple(_pair_name(x, y) for x in a.objects for y in b.objects)
     morphisms = tuple(
-        Morphism(f"({m.name},{n.name})", m.src * nb + n.src, m.tgt * nb + n.tgt)
+        Morphism(_pair_name(m.name, n.name), m.src * nb + n.src, m.tgt * nb + n.tgt)
         for m in a.morphisms
         for n in b.morphisms
     )
@@ -402,7 +413,7 @@ def categories_isomorphic(a: FinCat, b: FinCat) -> Functor | None:
     EULERKIT_BUDGET nodes (see search_budget) the search raises
     BudgetExceededError.
     """
-    tick = _node_counter()
+    tick = _node_counter("categories_isomorphic")
 
     n = len(a.objects)
     if n != len(b.objects) or len(a.morphisms) != len(b.morphisms):

@@ -420,7 +420,7 @@ def internally_equivalent(bicat: FinBicat, x: int, y: int) -> bool:
     fincat.search_budget) the search raises BudgetExceededError."""
     if x == y:
         return True
-    tick = _node_counter()
+    tick = _node_counter("internally_equivalent")
     hom_xy = bicat.homcat[(x, y)]
     hom_yx = bicat.homcat[(y, x)]
     gf_table = bicat.hcomp_one[(x, y, x)]
@@ -491,17 +491,19 @@ def bicat_from_json(data: dict) -> FinBicat:
         for y in range(n):
             homcat.setdefault((x, y), _EMPTY_CAT)
 
-    def obj_index(cat: FinCat, name, where):
-        try:
-            return cat.objects.index(name)
-        except ValueError:
-            raise FormatError(f"{where}: unknown 1-cell {name!r}") from None
+    # One name -> index map per hom for its 1-cells and one for its
+    # 2-cells; _category_parts has rejected duplicate names in each.
+    cells = {
+        pair: ({o: i for i, o in enumerate(cat.objects)},
+               {m.name: i for i, m in enumerate(cat.morphisms)})
+        for pair, cat in homcat.items()
+    }
 
-    def mor_index(cat: FinCat, name, where):
-        for i, m in enumerate(cat.morphisms):
-            if m.name == name:
-                return i
-        raise FormatError(f"{where}: unknown 2-cell {name!r}")
+    def cell(dim, pair, name, where):
+        index = cells[pair][dim - 1].get(name)
+        if index is None:
+            raise FormatError(f"{where}: unknown {dim}-cell {name!r}")
+        return index
 
     hcomp_one: dict = {}
     hcomp_two: dict = {}
@@ -512,23 +514,21 @@ def bicat_from_json(data: dict) -> FinBicat:
         for k, entry in enumerate(tables.get("one_cells", [])):
             where = f"hcomp {key!r} one_cells #{k}"
             _check_keys(entry, _ONE_CELL_KEYS, where)
-            one[(obj_index(homcat[(y, z)], entry["g"], where),
-                 obj_index(homcat[(x, y)], entry["f"], where))] = obj_index(
-                homcat[(x, z)], entry["equals"], where)
+            one[(cell(1, (y, z), entry["g"], where),
+                 cell(1, (x, y), entry["f"], where))] = cell(1, (x, z), entry["equals"], where)
         two = {}
         for k, entry in enumerate(tables.get("two_cells", [])):
             where = f"hcomp {key!r} two_cells #{k}"
             _check_keys(entry, _TWO_CELL_KEYS, where)
-            two[(mor_index(homcat[(y, z)], entry["beta"], where),
-                 mor_index(homcat[(x, y)], entry["alpha"], where))] = mor_index(
-                homcat[(x, z)], entry["equals"], where)
+            two[(cell(2, (y, z), entry["beta"], where),
+                 cell(2, (x, y), entry["alpha"], where))] = cell(2, (x, z), entry["equals"], where)
         hcomp_one[(x, y, z)] = one
         hcomp_two[(x, y, z)] = two
 
     units_raw = data["units"]
     _check_keys(units_raw, dict.fromkeys(zero_cells, str), "units")
     units = tuple(
-        obj_index(homcat[(names[z], names[z])], units_raw[z], f"units[{z!r}]")
+        cell(1, (names[z], names[z]), units_raw[z], f"units[{z!r}]")
         for z in zero_cells
     )
 
@@ -538,10 +538,9 @@ def bicat_from_json(data: dict) -> FinBicat:
         _check_keys(entry, _ASSOCIATOR_KEYS, where)
         x, y, z, w = _split_key(entry["path"], 4, where, names)
         associator[(x, y, z, w,
-                    obj_index(homcat[(z, w)], entry["h"], where),
-                    obj_index(homcat[(y, z)], entry["g"], where),
-                    obj_index(homcat[(x, y)], entry["f"], where))] = mor_index(
-            homcat[(x, w)], entry["equals"], where)
+                    cell(1, (z, w), entry["h"], where),
+                    cell(1, (y, z), entry["g"], where),
+                    cell(1, (x, y), entry["f"], where))] = cell(2, (x, w), entry["equals"], where)
 
     left_unitor: dict = {}
     right_unitor: dict = {}
@@ -552,8 +551,8 @@ def bicat_from_json(data: dict) -> FinBicat:
             where = f"unitors.{side} #{k}"
             _check_keys(entry, _UNITOR_KEYS, where)
             x, y = _split_key(entry["path"], 2, where, names)
-            store[(x, y, obj_index(homcat[(x, y)], entry["f"], where))] = mor_index(
-                homcat[(x, y)], entry["equals"], where)
+            f = cell(1, (x, y), entry["f"], where)
+            store[(x, y, f)] = cell(2, (x, y), entry["equals"], where)
 
     return bicat_from_parts(zero_cells, homcat, hcomp_one, hcomp_two, units,
                             associator, left_unitor, right_unitor)

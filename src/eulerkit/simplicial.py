@@ -21,6 +21,7 @@ from .fincat import (
     Morphism,
     _check_keys,
     _node_counter,
+    _pair_name,
     validate_category,
 )
 from .magnitude import EulerResult, euler_char
@@ -345,7 +346,7 @@ def enumerate_inner_horns(sset: TruncatedSSet, n: int, k: int) -> list[HornInsta
         raise ValueError("horn level must satisfy 2 <= n <= dim")
     if not 0 < k < n:
         raise ValueError("inner horns need 0 < k < n")
-    tick = _node_counter()
+    tick = _node_counter("enumerate_inner_horns")
     positions = [i for i in range(n + 1) if i != k]
     level = sset.level(n - 1)
     # per position j: (d_{j-1}, d_i, index of d_i) for each earlier position i
@@ -502,12 +503,13 @@ def sset_coproduct(a: TruncatedSSet, b: TruncatedSSet) -> TruncatedSSet:
 
 
 def sset_product(a: TruncatedSSet, b: TruncatedSSet) -> TruncatedSSet:
-    """Levelwise pairs with componentwise structure maps."""
+    """Levelwise pairs with componentwise structure maps, named by
+    fincat._pair_name."""
     if a.dim != b.dim:
         raise ValueError("product needs equal truncation dimensions")
     return _built_sset(
         [list(itertools.product(a.level(n), b.level(n))) for n in range(a.dim + 1)],
-        lambda m, x: f"({x[0]},{x[1]})",
+        lambda m, x: _pair_name(*x),
         lambda m, i, x: (a.face[(m, i)][x[0]], b.face[(m, i)][x[1]]),
         lambda m, i, x: (a.degeneracy[(m, i)][x[0]], b.degeneracy[(m, i)][x[1]]),
     )

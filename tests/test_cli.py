@@ -22,9 +22,12 @@ from eulerkit import (
     category_to_json,
     datum_of_category,
     datum_to_json,
+    euler_char,
     horn,
     nerve,
+    product,
     sset_from_json,
+    sset_product,
     sset_to_json,
 )
 from eulerkit.cli import build_parser, main
@@ -105,6 +108,18 @@ def test_construction_verbs_write_json(tmp_path, capsys):
     assert main(["coproduct", arrow, z2]) == 0
     cop = category_from_json(json.loads(capsys.readouterr().out))
     assert len(cop.objects) == 3
+
+
+def test_product_names_with_separators_stay_distinct(tmp_path, capsys):
+    # Unescaped, ("x", "y,z") and ("x,y", "z") would both be named "(x,y,z)".
+    a = catalog.discrete(2, ["x", "x,y"])
+    b = catalog.discrete(2, ["y,z", "z"])
+    prod = product(a, b)
+    assert len(prod.objects) == 4 and euler_char(prod).value == 4
+    assert sset_product(nerve(a), nerve(b)).counts()[0] == 4
+    files = [_write(tmp_path, f"{n}.json", category_to_json(c)) for n, c in (("a", a), ("b", b))]
+    assert main(["product", *files]) == 0
+    assert category_from_json(json.loads(capsys.readouterr().out)) == prod
 
 
 def test_equivalent_verb(tmp_path, capsys):
@@ -312,6 +327,7 @@ def test_budget_env_is_checked(tmp_path, capsys, monkeypatch):
     assert "EULERKIT_BUDGET" in capsys.readouterr().err
     monkeypatch.setenv("EULERKIT_BUDGET", "1")
     assert main(["equivalent", thick, arrow]) == 3
+    assert "nodes exceeded in categories_isomorphic" in capsys.readouterr().err
 
 
 def test_budget_caps_horn_enumeration(tmp_path, capsys, monkeypatch):
@@ -319,7 +335,7 @@ def test_budget_caps_horn_enumeration(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EULERKIT_BUDGET", "1")
     assert main(["horncheck", ner]) == 3
     captured = capsys.readouterr()
-    assert "search budget of 1 nodes exceeded" in captured.err
+    assert "search budget of 1 nodes exceeded in enumerate_inner_horns" in captured.err
     assert "Traceback" not in captured.err + captured.out
 
 

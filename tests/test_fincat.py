@@ -235,8 +235,9 @@ def test_isomorphism_search_matches_brute_force():
 def test_isomorphism_search_respects_budget(monkeypatch):
     a, b = catalog.cyclic_group(6), catalog.cyclic_group(6)
     monkeypatch.setenv("EULERKIT_BUDGET", "1")
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as caught:
         categories_isomorphic(a, b)
+    assert caught.value.search == "categories_isomorphic"
 
 
 def test_functor_violations_report():

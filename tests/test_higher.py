@@ -252,8 +252,9 @@ def test_internal_equivalence_basics(monkeypatch):
     retract = cat_as_bicat(product(catalog.walking_retract(), catalog.cyclic_group(2)))
     assert not internally_equivalent(retract, 0, 1)
     monkeypatch.setenv("EULERKIT_BUDGET", "3")
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as caught:
         internally_equivalent(retract, 0, 1)
+    assert caught.value.search == "internally_equivalent"
 
 
 def test_equivalent_zero_cells_have_equivalent_homs():
@@ -290,6 +291,42 @@ def test_bicat_json_rejects_bad_documents():
     doc["units"] = {"x": "e0"}
     with pytest.raises(FormatError):
         bicat_from_json(doc)
+
+
+# Every place a bicategory file names a 1-cell or a 2-cell, with the message
+# an unknown name there gives.
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("hcomp", "x|x|y", "one_cells", 0, "g"), "hcomp 'x|x|y' one_cells #0: unknown 1-cell"),
+        (("hcomp", "x|x|y", "one_cells", 0, "f"), "hcomp 'x|x|y' one_cells #0: unknown 1-cell"),
+        (("hcomp", "x|x|y", "one_cells", 0, "equals"), "hcomp 'x|x|y' one_cells #0: unknown 1-cell"),
+        (("hcomp", "x|x|y", "two_cells", 1, "beta"), "hcomp 'x|x|y' two_cells #1: unknown 2-cell"),
+        (("hcomp", "x|x|y", "two_cells", 1, "alpha"), "hcomp 'x|x|y' two_cells #1: unknown 2-cell"),
+        (("hcomp", "x|x|y", "two_cells", 1, "equals"), "hcomp 'x|x|y' two_cells #1: unknown 2-cell"),
+        (("units", "y"), "units['y']: unknown 1-cell"),
+        (("associators", 0, "h"), "associators #0: unknown 1-cell"),
+        (("associators", 0, "g"), "associators #0: unknown 1-cell"),
+        (("associators", 0, "f"), "associators #0: unknown 1-cell"),
+        (("associators", 0, "equals"), "associators #0: unknown 2-cell"),
+        (("unitors", "left", 0, "f"), "unitors.left #0: unknown 1-cell"),
+        (("unitors", "right", 0, "equals"), "unitors.right #0: unknown 2-cell"),
+    ],
+)
+def test_bicat_json_names_an_unknown_cell(path, message):
+    doc = bicat_to_json(catalog.suspension_z2())
+    doc["associators"] = [{"path": "x|y|x|y", "h": "*", "g": "*", "f": "*", "equals": "g0"}]
+    doc["unitors"] = {side: [{"path": "y|x", "f": "*", "equals": "g0"}]
+                      for side in ("left", "right")}
+    assert bicat_from_json(doc) == catalog.suspension_z2()
+    *inner, last = path
+    target = doc
+    for key in inner:
+        target = target[key]
+    target[last] = "nope"
+    with pytest.raises(FormatError) as exc:
+        bicat_from_json(doc)
+    assert str(exc.value) == f"{message} 'nope'"
 
 
 def test_datum_json_roundtrip():

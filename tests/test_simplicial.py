@@ -304,8 +304,9 @@ def test_face_index_leaves_equality_and_json_alone():
 def test_horn_enumeration_runs_under_the_budget(monkeypatch):
     ner = nerve(catalog.chain(3), 3)
     monkeypatch.setenv("EULERKIT_BUDGET", "2")
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as caught:
         enumerate_inner_horns(ner, 3, 1)
+    assert caught.value.search == "enumerate_inner_horns"
     monkeypatch.delenv("EULERKIT_BUDGET")
     assert len(enumerate_inner_horns(ner, 3, 1)) == path_totals(catalog.chain(3), 3)[3]
 
