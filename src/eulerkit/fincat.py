@@ -407,11 +407,16 @@ def _object_profile(cat: FinCat, x: int):
 def categories_isomorphic(a: FinCat, b: FinCat) -> Functor | None:
     """Bijective structure-preserving functor a -> b, or None.
 
-    Backtracks over object bijections pruned by hom-count profiles, then
-    over per-hom-set morphism bijections with composition checks.  Each
-    object assignment and each morphism candidate tried is one node; past
-    EULERKIT_BUDGET nodes (see search_budget) the search raises
-    BudgetExceededError.
+    One backtracking search assigns the morphisms of a: the identities
+    first, in object order, then the others in ascending order.  Sending
+    the identity of x to the identity of y is the object assignment
+    x -> y, so its candidates are the identities of unused objects y with
+    x's hom-count profile and x's hom counts to and from the objects
+    already assigned.  Any other morphism takes its candidates from the
+    hom-set between the images of its ends, and each assignment is
+    checked against the composition equations whose morphisms are all
+    assigned.  Each candidate tried is one node; past EULERKIT_BUDGET
+    nodes (see search_budget) the search raises BudgetExceededError.
     """
     tick = _node_counter("categories_isomorphic")
 
@@ -430,87 +435,57 @@ def categories_isomorphic(a: FinCat, b: FinCat) -> Functor | None:
         for i in {g, f, h}:
             equations[i].append((g, f, h))
 
-    obj_map: list[int | None] = [None] * n
-    used_obj = [False] * n
+    identities = set(a.identity)
+    order = [*a.identity, *(i for i in range(nm) if i not in identities)]
+    obj_map = [0] * n
+    mor_map: list[int | None] = [None] * nm
+    used = [False] * len(b.morphisms)
 
-    def extend_objects(x: int):
-        if x == n:
-            yield list(obj_map)
-            return
-        for y in range(n):
-            if used_obj[y] or prof_a[x] != prof_b[y]:
+    def fits(x: int, y: int) -> bool:
+        return prof_a[x] == prof_b[y] and all(
+            a.hom_count(x, w) == b.hom_count(y, obj_map[w])
+            and a.hom_count(w, x) == b.hom_count(obj_map[w], y)
+            for w in range(x)
+        )
+
+    def consistent(i: int) -> bool:
+        # Check every equation on i whose three slots are assigned.
+        for g, f, h in equations[i]:
+            mg, mf, mh = mor_map[g], mor_map[f], mor_map[h]
+            if mg is None or mf is None or mh is None:
                 continue
-            if any(
-                obj_map[w] is not None
-                and (
-                    a.hom_count(x, w) != b.hom_count(y, obj_map[w])
-                    or a.hom_count(w, x) != b.hom_count(obj_map[w], y)
-                )
-                for w in range(n)
-            ):
+            if b.comp.get((mg, mf)) != mh:
+                return False
+        return True
+
+    def rec(k: int) -> bool:
+        if k == nm:
+            return True
+        i = order[k]
+        if k < n:  # the identity of object k
+            candidates = [b.identity[y] for y in range(n) if fits(k, y)]
+        else:
+            m = a.morphisms[i]
+            candidates = b.hom(obj_map[m.src], obj_map[m.tgt])
+        for c in candidates:
+            if used[c]:
                 continue
             tick()
-            obj_map[x] = y
-            used_obj[y] = True
-            yield from extend_objects(x + 1)
-            obj_map[x] = None
-            used_obj[y] = False
-
-    def extend_morphisms(sigma: list[int]) -> list[int] | None:
-        mor_map: list[int | None] = [None] * nm
-        used = [False] * len(b.morphisms)
-        for x in range(n):
-            img = b.identity[sigma[x]]
-            mor_map[a.identity[x]] = img
-            used[img] = True
-
-        candidates: dict[int, list[int]] = {}
-        for i, m in enumerate(a.morphisms):
-            candidates[i] = list(b.hom(sigma[m.src], sigma[m.tgt]))
-
-        order = [i for i in range(nm) if mor_map[i] is None]
-
-        def consistent(i: int) -> bool:
-            # Check every equation on i whose three slots are assigned.
-            for g, f, h in equations[i]:
-                mg, mf, mh = mor_map[g], mor_map[f], mor_map[h]
-                if mg is None or mf is None or mh is None:
-                    continue
-                if b.comp.get((mg, mf)) != mh:
-                    return False
-            return True
-
-        def rec(k: int) -> bool:
-            if k == len(order):
+            if k < n:
+                obj_map[k] = b.morphisms[c].src
+            mor_map[i] = c
+            used[c] = True
+            if consistent(i) and rec(k + 1):
                 return True
-            i = order[k]
-            for c in candidates[i]:
-                if used[c]:
-                    continue
-                tick()
-                mor_map[i] = c
-                used[c] = True
-                if consistent(i) and rec(k + 1):
-                    return True
-                mor_map[i] = None
-                used[c] = False
-            return False
+            mor_map[i] = None
+            used[c] = False
+        return False
 
-        # Identity images must be consistent before the search starts.
-        for x in range(n):
-            if not consistent(a.identity[x]):
-                return None
-        if rec(0):
-            return [int(m) for m in mor_map]  # type: ignore[arg-type]
+    if not rec(0):
         return None
-
-    for sigma in extend_objects(0):
-        mor_map = extend_morphisms(sigma)
-        if mor_map is not None:
-            fun = Functor(tuple(sigma), tuple(mor_map))
-            assert not functor_violations(a, b, fun)
-            return fun
-    return None
+    fun = Functor(tuple(obj_map), tuple(mor_map))  # type: ignore[arg-type]
+    assert not functor_violations(a, b, fun)
+    return fun
 
 
 @dataclass(frozen=True)
