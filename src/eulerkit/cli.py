@@ -27,6 +27,7 @@ from .fincat import (
     equivalent,
     opposite,
     product,
+    search_budget,
     skeleton,
 )
 from .higher import (
@@ -251,6 +252,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        search_budget()  # a bad EULERKIT_BUDGET fails every verb, not only the searches
     except FormatError as e:
         print(str(e), file=sys.stderr)
         return 3

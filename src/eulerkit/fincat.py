@@ -534,14 +534,15 @@ def _check_keys(data, allowed: Mapping[str, type], where: str,
                 required: Iterable[str] | None = None):
     """The one schema check of every JSON loader: `data` is an object whose
     keys are among `allowed`, holding every `required` key (all of
-    `allowed` when None), and each value has the type `allowed` gives it."""
+    `allowed` when None), and each value has the type `allowed` gives it.
+    JSON true and false are not integers, though Python's bool is an int."""
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected an object")
     for key, value in data.items():
         kind = allowed.get(key)
         if kind is None:
             raise FormatError(f"{where}: unknown keys {sorted(data.keys() - allowed.keys())}")
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise FormatError(f"{where}: {key!r} must be {_KINDS[kind]}")
     for key in required if required is not None else allowed:
         if key not in data:

@@ -422,20 +422,16 @@ def filler_report(sset: TruncatedSSet) -> FillerReport:
     for n in range(2, sset.dim + 1):
         for k in range(1, n):
             instances = enumerate_inner_horns(sset, n, k)
-            # count fillers by their non-k face tuple instead of rescanning level n
+            # The walls (faces other than k) of every level-n simplex form an
+            # (n, k) horn instance by the simplicial identities, so the filled
+            # instances are exactly the distinct wall tuples.
             positions = [i for i in range(n + 1) if i != k]
             by_walls: dict[tuple[str, ...], int] = {}
             for s in sset.level(n):
                 key = tuple(sset.face[(n, i)][s] for i in positions)
                 by_walls[key] = by_walls.get(key, 0) + 1
-            unfilled = 0
-            multiple = 0
-            for inst in instances:
-                count = by_walls.get(tuple(inst.faces[i] for i in positions), 0)
-                if count == 0:
-                    unfilled += 1
-                elif count > 1:
-                    multiple += 1
+            unfilled = len(instances) - len(by_walls)
+            multiple = sum(1 for count in by_walls.values() if count > 1)
             per[(n, k)] = HornStats(len(instances), unfilled, multiple)
             if unfilled:
                 quasi = False

@@ -280,6 +280,12 @@ MISTYPED = [
               lambda d: d.update(hom=[])),
     _mistyped("face-value", "validate-sset", sset_to_json(nerve(catalog.arrow(), 2)),
               lambda d: d["faces"]["1,0"].update(f=["y"])),
+    # JSON booleans, which Python reads as the ints 1 and 0
+    _mistyped("size-bool", "chi-n", {"level": 0, "size": 1},
+              lambda d: d.update(size=True)),
+    _mistyped("level-bool", "chi-n", datum_to_json(datum_of_category(catalog.arrow())),
+              lambda d: d.update(level=True)),
+    _mistyped("dim-bool", "validate-sset", {"dim": 1}, lambda d: d.update(dim=True)),
 ]
 
 
@@ -324,6 +330,13 @@ def test_budget_env_is_checked(tmp_path, capsys, monkeypatch):
     arrow = _write(tmp_path, "arrow.json", category_to_json(catalog.arrow()))
     monkeypatch.setenv("EULERKIT_BUDGET", "-5")
     assert main(["equivalent", thick, arrow]) == 3
+    assert "EULERKIT_BUDGET" in capsys.readouterr().err
+    # checked before any verb runs, even where no search would
+    z2 = _write(tmp_path, "z2.json", bicat_to_json(cat_as_bicat(catalog.cyclic_group(2))))
+    assert main(["internal-classes", z2]) == 3
+    assert "EULERKIT_BUDGET" in capsys.readouterr().err
+    monkeypatch.setenv("EULERKIT_BUDGET", "abc")
+    assert main(["chi", arrow]) == 3
     assert "EULERKIT_BUDGET" in capsys.readouterr().err
     monkeypatch.setenv("EULERKIT_BUDGET", "1")
     assert main(["equivalent", thick, arrow]) == 3

@@ -239,6 +239,24 @@ def test_isomorphism_search_respects_budget(monkeypatch):
         categories_isomorphic(a, b)
     assert caught.value.search == "categories_isomorphic"
 
+    # Exact node counts: each case finishes at its count and raises one below.
+    retract = catalog.walking_retract()
+    chain_z2 = product(catalog.chain(3), catalog.cyclic_group(2))
+    cases = [
+        (catalog.cyclic_group(4), catalog.klein_four(), 10, None),
+        (retract, opposite(retract), 5, (0, 1, 3, 2, 4)),
+        (catalog.thick_arrow(), catalog.thick_arrow(), 7, tuple(range(7))),
+        (chain_z2, chain_z2, 12, tuple(range(12))),
+    ]
+    for a, b, nodes, morphism_map in cases:
+        monkeypatch.setenv("EULERKIT_BUDGET", str(nodes))
+        fun = categories_isomorphic(a, b)
+        assert (None if fun is None else fun.morphism_map) == morphism_map
+        monkeypatch.setenv("EULERKIT_BUDGET", str(nodes - 1))
+        with pytest.raises(BudgetExceededError) as caught:
+            categories_isomorphic(a, b)
+        assert caught.value.search == "categories_isomorphic"
+
 
 def test_functor_violations_report():
     z2 = catalog.cyclic_group(2)
