@@ -40,7 +40,6 @@ from .higher import (
 from .magnitude import (
     adjacency,
     coweighting_solution,
-    euler_char,
     euler_of_matrix,
     weighting_solution,
 )
@@ -49,7 +48,6 @@ from .simplicial import (
     DEFAULT_DIM,
     classify_sset,
     filler_report,
-    category_from_nerve,
     chi_sset,
     nerve,
     sset_from_json,
@@ -189,7 +187,7 @@ def _cmd_chi_sset(args) -> int:
     if kind == "other":
         print("chi undefined: structure is not the nerve of a category")
         return 2
-    return _chi_report(euler_char(category_from_nerve(sset)), args.witness)
+    return _chi_report(chi_sset(sset), args.witness)
 
 
 def build_parser() -> _Parser:

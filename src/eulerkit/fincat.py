@@ -458,30 +458,44 @@ def categories_isomorphic(a: FinCat, b: FinCat) -> Functor | None:
                 return False
         return True
 
-    def rec(k: int) -> bool:
-        if k == nm:
-            return True
-        i = order[k]
+    def candidates(k: int):
         if k < n:  # the identity of object k
-            candidates = [b.identity[y] for y in range(n) if fits(k, y)]
-        else:
-            m = a.morphisms[i]
-            candidates = b.hom(obj_map[m.src], obj_map[m.tgt])
-        for c in candidates:
-            if used[c]:
+            return iter([b.identity[y] for y in range(n) if fits(k, y)])
+        m = a.morphisms[order[k]]
+        return iter(b.hom(obj_map[m.src], obj_map[m.tgt]))
+
+    def search() -> bool:
+        # stack[k] iterates the untried candidates for morphism order[k]; the
+        # positions below the top are assigned.  A list, not recursion, so
+        # the depth is not bounded by Python's frame limit.
+        stack = [candidates(0)]
+        while stack:
+            k = len(stack) - 1
+            i = order[k]
+            if mor_map[i] is not None:  # back from a dead end: undo position k
+                used[mor_map[i]] = False
+                mor_map[i] = None
+            for c in stack[k]:
+                if used[c]:
+                    continue
+                tick()
+                if k < n:
+                    obj_map[k] = b.morphisms[c].src
+                mor_map[i] = c
+                used[c] = True
+                if consistent(i):
+                    break
+                mor_map[i] = None
+                used[c] = False
+            else:
+                stack.pop()
                 continue
-            tick()
-            if k < n:
-                obj_map[k] = b.morphisms[c].src
-            mor_map[i] = c
-            used[c] = True
-            if consistent(i) and rec(k + 1):
+            if k + 1 == nm:
                 return True
-            mor_map[i] = None
-            used[c] = False
+            stack.append(candidates(k + 1))
         return False
 
-    if not rec(0):
+    if nm and not search():
         return None
     fun = Functor(tuple(obj_map), tuple(mor_map))  # type: ignore[arg-type]
     assert not functor_violations(a, b, fun)

@@ -3,15 +3,15 @@
 Everything lives below a truncation dimension (default 4): a structure
 stores simplex ids per level together with face and degeneracy tables,
 and validation checks totality plus the five simplicial identities as
-far as the truncation allows.  Horn instances in an ambient structure
-are compatible families of faces; counting their fillers distinguishes
-nerve-like structures (unique inner fillers) from merely quasi ones.
-Nerve-like structures can be folded back into a category.
+far as the truncation allows.  Counting inner-horn fillers tells
+quasi-categories from nerves, and reconstruction recognises a nerve by
+its spines (the Segal condition) before folding it into its category.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -444,12 +444,13 @@ def filler_report(sset: TruncatedSSet) -> FillerReport:
 
 
 def category_from_nerve(sset: TruncatedSSet) -> FinCat:
-    """Fold a structure with unique inner fillers back into a category.
+    """Fold a nerve back into its category.
 
-    Objects are the 0-simplices, arrows the 1-simplices, and each binary
-    composite is read off the unique (2,1)-horn filler.  Raises
-    NotNerveShapedError when a filler is missing or ambiguous, or when
-    the extracted tables fail the category axioms.
+    Objects are the 0-simplices, arrows the 1-simplices, and g after f is
+    d_1 of the 2-simplex whose spine (d_2 s, d_0 s) is (f, g).  Raises
+    NotNerveShapedError unless the composites satisfy the category axioms
+    and each level 2..dim holds one simplex per composable chain of arrows,
+    told apart by their spines (the Segal condition).
     """
     if sset.dim < 2:
         raise ValueError("reconstruction needs truncation dimension >= 2")
@@ -462,13 +463,16 @@ def category_from_nerve(sset: TruncatedSSet) -> FinCat:
         for s in one
     )
     identity = tuple(mor_index[sset.degeneracy[(0, 0)][o]] for o in objects)
+    spine = {s: (sset.face[(2, 2)][s], sset.face[(2, 0)][s]) for s in sset.level(2)}
+    by_spine: dict[tuple[str, ...], list[str]] = {}
+    for s, edges in spine.items():
+        by_spine.setdefault(edges, []).append(s)
     comp: dict[tuple[int, int], int] = {}
     for g, gm in enumerate(morphisms):
         for f, fm in enumerate(morphisms):
             if fm.tgt != gm.src:
                 continue
-            inst = HornInstance(2, 1, {0: one[g], 2: one[f]})
-            found = fillers(sset, inst)
+            found = by_spine.get((one[f], one[g]), ())
             if len(found) != 1:
                 raise NotNerveShapedError(
                     f"{len(found)} fillers for the inner horn on "
@@ -476,11 +480,19 @@ def category_from_nerve(sset: TruncatedSSet) -> FinCat:
                 )
             comp[(g, f)] = mor_index[sset.face[(2, 1)][found[0]]]
     try:
-        return validate_category(objects, morphisms, identity, comp)
+        cat = validate_category(objects, morphisms, identity, comp)
     except ValidationError as e:
         raise NotNerveShapedError(
             "extracted tables violate the category axioms: " + "; ".join(e.violations[:3])
         ) from None
+    follows = Counter(f for f, _ in by_spine)  # the keys are now the composable pairs
+    for n in range(3, sset.dim + 1):
+        chains = sum(follows[p[-1]] for p in spine.values())
+        d_n, d_0 = sset.face[(n, n)], sset.face[(n, 0)]
+        spine = {s: spine[d_n[s]] + spine[d_0[s]][-1:] for s in sset.level(n)}
+        if len(set(spine.values())) != len(spine) or len(spine) != chains:
+            raise NotNerveShapedError(f"level {n} is not one simplex per composable {n}-chain")
+    return cat
 
 
 # --- combinations ---------------------------------------------------------------
@@ -518,28 +530,23 @@ def classify_sset(sset: TruncatedSSet) -> str:
     """One of 'empty', 'point', 'nerve', 'other'."""
     if sset.dim < 2:
         raise ValueError("classification needs truncation dimension >= 2")
-    counts = sset.counts()
-    if counts[0] == 0:
+    try:
+        cat = category_from_nerve(sset)
+    except NotNerveShapedError:
+        return "other"
+    if not cat.objects:
         return "empty"
-    if all(c == 1 for c in counts):
-        return "point"
-    if filler_report(sset).nerve_shaped:
-        try:
-            category_from_nerve(sset)
-        except NotNerveShapedError:
-            return "other"
-        return "nerve"
-    return "other"
+    return "point" if len(cat.morphisms) == 1 else "nerve"
 
 
 def chi_sset(sset: TruncatedSSet) -> EulerResult:
     """Euler characteristic via reconstruction when the structure is a
     nerve (empty and one-point structures included); otherwise the
     characteristic is not defined by this route."""
-    kind = classify_sset(sset)
-    if kind == "other":
+    try:
+        return euler_char(category_from_nerve(sset))
+    except NotNerveShapedError:
         return EulerResult(False, None, None, None)
-    return euler_char(category_from_nerve(sset))
 
 
 # --- JSON interchange -----------------------------------------------------------

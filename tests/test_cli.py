@@ -132,6 +132,15 @@ def test_equivalent_verb(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "equivalent = false"
 
 
+def test_equivalent_on_long_chains_has_no_traceback(tmp_path, capsys):
+    paths = [_write(tmp_path, f"chain{k}.json", category_to_json(catalog.chain(60)))
+             for k in range(2)]
+    assert main(["equivalent", *paths]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "equivalent = true"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_chi_bicat(tmp_path, capsys):
     tri = _write(tmp_path, "tri.json", bicat_to_json(catalog.upper_triangular_bicat()))
     assert main(["chi-bicat", tri, "--matrix"]) == 0
@@ -350,6 +359,9 @@ def test_budget_caps_horn_enumeration(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "search budget of 1 nodes exceeded in enumerate_inner_horns" in captured.err
     assert "Traceback" not in captured.err + captured.out
+    # chi-sset runs no search: it checks the Segal spines instead
+    assert main(["chi-sset", ner]) == 0
+    assert capsys.readouterr().out.splitlines() == ["kind = nerve", "chi = 1"]
 
 
 def _declared_script(name):

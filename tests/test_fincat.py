@@ -258,6 +258,13 @@ def test_isomorphism_search_respects_budget(monkeypatch):
         assert caught.value.search == "categories_isomorphic"
 
 
+def test_isomorphism_search_depth_is_not_bounded_by_the_call_stack():
+    # chain(60) has 1830 morphisms, one search position each.
+    big = catalog.chain(60)
+    assert equivalent(big, catalog.chain(60))
+    assert not equivalent(big, catalog.chain(59))
+
+
 def test_functor_violations_report():
     z2 = catalog.cyclic_group(2)
     ident = Functor((0,), tuple(range(len(z2.morphisms))))

@@ -1,5 +1,6 @@
 """Weightings and Euler characteristics against the minor-expansion oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from eulerkit import (
     transport_weighting,
     weighting,
 )
+from chain_oracle import hall_chi, two_order_poset
 from oracles import hom_matrix, oracle_chi
 
 SUITE = catalog.base_suite()
@@ -206,3 +208,13 @@ def test_codiscrete_names_stay_unique_past_ten_objects():
     assert hom_matrix(cat) == [[1] * 12 for _ in range(12)]
     res = euler_char(cat)
     assert (res.exists, res.value) == oracle_chi(hom_matrix(catalog.codiscrete(3)))
+
+
+def test_chi_of_random_posets_matches_chain_counts():
+    # Posets too large for the minor-expansion oracle, checked by counting chains.
+    rng = random.Random("eulerkit posets")
+    for _ in range(30):
+        n = rng.randint(16, 44)
+        leq = two_order_poset(rng, n)
+        cat = catalog.poset_category(range(n), lambda x, y: leq[x][y])
+        assert euler_char(cat).value == hall_chi(leq), n

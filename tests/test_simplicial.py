@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from eulerkit import (
     sset_violations,
     standard_simplex,
 )
+from chain_oracle import hall_chi, two_order_poset
 from oracles import count_monotone, horn_closure, path_totals
 
 NERVE_POOL = [
@@ -463,3 +465,66 @@ def test_non_associative_reconstruction_is_not_a_nerve():
         "associativity fails at triple (h=2, g=2, f=1): h(gf)=2 but (hg)f=0; "
         "associativity fails at triple (h=1, g=1, f=2): h(gf)=1 but (hg)f=2"
     )
+
+
+# --- Segal spines above level 2 --------------------------------------------------
+
+
+def _edited_top(cat, mode):
+    """nerve(cat, 3) with its first non-degenerate 3-simplex duplicated
+    ("dup", glued along the same faces) or deleted ("del")."""
+    doc = sset_to_json(nerve(cat, 3))
+    degenerate = {s for i in range(3) for s in doc["degeneracies"][f"2,{i}"].values()}
+    top = next(s for s in doc["simplices"]["3"] if s not in degenerate)
+    if mode == "dup":
+        doc["simplices"]["3"].append("dup")
+        for i in range(4):
+            doc["faces"][f"3,{i}"]["dup"] = doc["faces"][f"3,{i}"][top]
+    else:
+        doc["simplices"]["3"].remove(top)
+        for i in range(4):
+            del doc["faces"][f"3,{i}"][top]
+    return sset_from_json(doc)
+
+
+@pytest.mark.parametrize("mode", ["dup", "del"])
+def test_reconstruction_checks_level_3(mode):
+    edited = _edited_top(catalog.cyclic_group(2), mode)
+    with pytest.raises(NotNerveShapedError) as exc:
+        category_from_nerve(edited)
+    assert "level 3" in str(exc.value)
+    assert classify_sset(edited) == "other"
+    assert not chi_sset(edited).exists
+
+
+def test_segal_spines_agree_with_unique_fillers():
+    # Unique inner fillers hold exactly when the Segal maps are bijections;
+    # classify_sset reads the second, filler_report counts the first.
+    cases = [horn(n, k, d) for n in range(2, 5) for k in range(n + 1) for d in (3, 4)]
+    cases += [standard_simplex(n, d) for n in range(5) for d in (3, 4)]
+    cases += [nerve(cat, 3) for cat in catalog.base_suite()]
+    with_top = (catalog.cyclic_group(2), catalog.cyclic_group(3), catalog.chain(4))
+    cases += [_edited_top(cat, mode) for cat in with_top for mode in ("dup", "del")]
+    kinds = set()
+    for sset in cases:
+        kind = classify_sset(sset)
+        kinds.add(kind)
+        assert (kind != "other") == filler_report(sset).nerve_shaped, sset.counts()
+    assert kinds == {"point", "nerve", "other"}
+
+
+def test_small_posets_chi_by_chains_nerve_and_reconstruction():
+    rng = random.Random("eulerkit small posets")
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        leq = two_order_poset(rng, n)
+        ner = nerve(catalog.poset_category(range(n), lambda x, y: leq[x][y]), max(n, 2))
+        # the non-degenerate m-simplices are the chains of m non-identity arrows
+        alternating = sum(
+            (-1) ** m * len(set(ner.level(m)).difference(
+                *(ner.degeneracy[(m - 1, i)].values() for i in range(m))))
+            for m in range(ner.dim + 1)
+        )
+        want = hall_chi(leq)
+        assert alternating == want
+        assert chi_sset(ner).value == want
