@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
-from .errors import FormatError, HomChiUndefinedError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    FormatError,
+    HomChiUndefinedError,
+    ValidationError,
+)
 from .fincat import (
     FinCat,
     IsoPartition,
@@ -36,6 +41,7 @@ from .fincat import (
     category_to_json,
     category_violations,
     objects_isomorphic,
+    search_budget,
 )
 from .magnitude import EulerResult, Weighting, euler_char, euler_of_matrix
 from .qlinalg import QMatrix
@@ -380,34 +386,70 @@ def bicat_to_datum(bicat: FinBicat) -> EulerDatum:
     return EulerDatum(2, cells=bicat.zero_cells, hom=hom)
 
 
-def chi_n(datum: EulerDatum, _path: tuple = ()) -> EulerResult:
+def chi_n(datum: EulerDatum) -> EulerResult:
     """Euler characteristic of a datum at any level.
 
     Level 0 is the set size.  At level n the adjacency matrix collects the
-    recursive characteristics of the hom data; if one of those does not
-    exist the computation cannot proceed and HomChiUndefinedError reports
-    the pair, its depth, and the descent path.  Non-existence at the top
-    level itself is an ordinary EulerResult(exists=False).
+    characteristics of the hom data; if one of those does not exist the
+    computation cannot proceed and HomChiUndefinedError reports the pair,
+    its depth, and the descent path.  Non-existence at the top level
+    itself is an ordinary EulerResult(exists=False).
+
+    Chi depends only on the shape of a datum, not on its cell names, so
+    each node gets a structural key: (0, size) at level 0, and at level n
+    the cell count with its hom data's keys in row-major order, interned
+    to an int.  A memo from key to result lives for this one call, so
+    each distinct shape is solved once.  It holds existing results only:
+    the first hom datum without a characteristic raises at once, so the
+    error names the same pair, depth and path as a descent that solves
+    every occurrence, with cell names from the failing position.  The walk
+    is post-order on an explicit stack, so depth is not limited by
+    Python's recursion limit.
     """
     if datum.level == 0:
-        ones = tuple(Fraction(1) for _ in range(datum.size))
+        # Only a top-level set lists its elements' weights; past
+        # EULERKIT_BUDGET of them the listing counts as a runaway search.
+        if datum.size > search_budget():
+            raise BudgetExceededError(search_budget(), "chi_n witness")
+        ones = (Fraction(1),) * datum.size
         return EulerResult(
             True,
             Fraction(datum.size),
             Weighting(ones, "weighting"),
             Weighting(ones, "coweighting"),
         )
-    n = len(datum.cells)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            pair = (datum.cells[i], datum.cells[j])
-            path = _path + (pair,)
-            sub = chi_n(datum.hom[(i, j)], path)
-            if not sub.exists:
-                raise HomChiUndefinedError(pair, depth=len(path), path=path)
-            entries.append(sub.value)
-    return euler_of_matrix(QMatrix(n, n, tuple(entries)))
+    interned: dict[tuple, int] = {}
+    memo: dict[int, EulerResult] = {}
+    # frames [node, cell count, hom pairs taken, keys, chi values]
+    stack = [[datum, len(datum.cells), 0, [], []]]
+    while True:
+        frame = stack[-1]
+        node, n, taken, keys, values = frame
+        if taken < n * n:
+            frame[2] = taken + 1
+            child = node.hom[divmod(taken, n)]
+            if child.level == 0:
+                keys.append(interned.setdefault((0, child.size), len(interned)))
+                values.append(Fraction(child.size))
+            else:
+                stack.append([child, len(child.cells), 0, [], []])
+            continue
+        key = interned.setdefault((n, tuple(keys)), len(interned))
+        res = memo.get(key)
+        if res is None:
+            res = euler_of_matrix(QMatrix(n, n, tuple(values)))
+        stack.pop()
+        if not stack:
+            return res
+        if not res.exists:
+            path = []
+            for node, n, taken, _, _ in stack:
+                i, j = divmod(taken - 1, n)
+                path.append((node.cells[i], node.cells[j]))
+            raise HomChiUndefinedError(path[-1], depth=len(path), path=path)
+        memo[key] = res
+        stack[-1][3].append(key)
+        stack[-1][4].append(res.value)
 
 
 # --- internal equivalence ------------------------------------------------------

@@ -420,15 +420,16 @@ def filler_report(sset: TruncatedSSet) -> FillerReport:
     quasi = True
     unique = True
     for n in range(2, sset.dim + 1):
+        tables = [sset.face[(n, i)] for i in range(n + 1)]
+        faces = [tuple(d[s] for d in tables) for s in sset.level(n)]
         for k in range(1, n):
             instances = enumerate_inner_horns(sset, n, k)
             # The walls (faces other than k) of every level-n simplex form an
             # (n, k) horn instance by the simplicial identities, so the filled
             # instances are exactly the distinct wall tuples.
-            positions = [i for i in range(n + 1) if i != k]
             by_walls: dict[tuple[str, ...], int] = {}
-            for s in sset.level(n):
-                key = tuple(sset.face[(n, i)][s] for i in positions)
+            for f in faces:
+                key = f[:k] + f[k + 1:]
                 by_walls[key] = by_walls.get(key, 0) + 1
             unfilled = len(instances) - len(by_walls)
             multiple = sum(1 for count in by_walls.values() if count > 1)

@@ -27,6 +27,7 @@ from eulerkit import (
     datum_to_json,
     equivalent,
     euler_char,
+    euler_of_matrix,
     internal_equiv_classes,
     internally_equivalent,
     product,
@@ -228,6 +229,122 @@ def test_undefined_hom_characteristic_carries_path():
     assert exc.value.depth == 1
     assert ("a", "a") in (tuple(exc.value.pair),)
     assert "depth 1" in str(exc.value)
+
+
+def _renamed(datum, prefix):
+    """An equal-shaped copy of `datum` with every cell name prefixed."""
+    if datum.level == 0:
+        return EulerDatum(0, size=datum.size)
+    return EulerDatum(
+        datum.level,
+        cells=tuple(prefix + c for c in datum.cells),
+        hom={pair: _renamed(sub, prefix) for pair, sub in datum.hom.items()},
+    )
+
+
+def _shape(datum, positive):
+    """Shape of `datum` without its names; adds every positive-level shape
+    at or below it to `positive`."""
+    if datum.level == 0:
+        return datum.size
+    n = len(datum.cells)
+    shape = (n, tuple(_shape(datum.hom[(i, j)], positive) for i in range(n) for j in range(n)))
+    positive.add(shape)
+    return shape
+
+
+def _square(level, cells, homs):
+    n = len(cells)
+    return EulerDatum(level, cells=cells,
+                      hom={(i, j): homs[i * n + j] for i in range(n) for j in range(n)})
+
+
+def test_chi_n_solves_each_distinct_shape_once(monkeypatch):
+    arrow2 = bicat_to_datum(cat_as_bicat(catalog.arrow()))
+    susp2 = bicat_to_datum(catalog.suspension_z2())
+    # shared objects, renamed copies and fresh data of the same shapes
+    pool = [arrow2, susp2, _renamed(arrow2, "x."), _renamed(susp2, "y."), arrow2]
+    tower = _square(3, ("a", "b", "c"), [pool[k % 5] for k in range(9)])
+    positive: set = set()
+    _shape(tower, positive)
+
+    solved = []
+
+    def counted(matrix):
+        solved.append(matrix)
+        return euler_of_matrix(matrix)
+
+    monkeypatch.setattr("eulerkit.higher.euler_of_matrix", counted)
+    res = chi_n(tower)
+    assert len(solved) == len(positive) == 6
+    assert len(set(solved)) == len(solved)
+
+    rows = [[chi_n(tower.hom[(i, j)]).value for j in range(3)] for i in range(3)]
+    assert (res.exists, res.value) == oracle_chi(rows)
+
+
+def test_first_failing_descent_names_its_own_position():
+    good = datum_of_category(catalog.arrow())
+    bad = EulerDatum(1, cells=("z",), hom={(0, 0): EulerDatum(0, size=0)})  # [[0]]
+    x = _square(2, ("p", "q"), [good] * 4)
+    # good repeats before and after bad inside y, and x before and after y
+    y = _square(2, ("r", "s"), [_renamed(good, "g."), bad, good, _renamed(bad, "h.")])
+    w = _square(2, ("u", "v"), [bad, good, good, good])
+    tower = _square(3, ("a", "b"), [x, y, x, w])
+    with pytest.raises(HomChiUndefinedError) as exc:
+        chi_n(tower)
+    assert exc.value.pair == ("r", "s")
+    assert exc.value.depth == 2
+    assert exc.value.path == (("a", "b"), ("r", "s"))
+    assert str(exc.value) == "hom-EC undefined at depth 2, pair (r,s) via (a,b) -> (r,s)"
+
+
+def test_shared_and_renamed_sub_data_give_equal_results():
+    tri2 = bicat_to_datum(catalog.upper_triangular_bicat())
+    arrow2 = bicat_to_datum(cat_as_bicat(catalog.arrow()))
+    empty2 = EulerDatum(2, cells=(), hom={})
+    shared = _square(3, ("a", "b"), [tri2, arrow2, empty2, tri2])
+    copies = _square(3, ("u", "v"), [_renamed(tri2, "1."), _renamed(arrow2, "2."),
+                                     EulerDatum(2, cells=(), hom={}), _renamed(tri2, "3.")])
+    got = chi_n(shared)
+    assert got.exists and got.witness_weighting and got.witness_coweighting
+    assert got == chi_n(copies)
+    # the top matrix is [[-1, 1], [0, -1]], as each hom solved on its own gives
+    rows = [[chi_n(shared.hom[(i, j)]).value for j in range(2)] for i in range(2)]
+    assert rows == [[-1, 1], [0, -1]]
+    assert oracle_chi(rows) == (True, got.value)
+
+
+def _one_cell_tower(levels, leaf_size):
+    node = EulerDatum(0, size=leaf_size)
+    for level in range(1, levels + 1):
+        node = EulerDatum(level, cells=(f"c{level}",), hom={(0, 0): node})
+    return node
+
+
+def test_chi_n_depth_is_not_bounded_by_recursion():
+    # chi alternates 1/2, 2, 1/2, ... up the levels of [[2]], [[1/2]], ...
+    res = chi_n(_one_cell_tower(3000, 2))
+    assert res.exists and res.value == 2
+    assert res.witness_weighting.values == (Fraction(2),)
+    # [[0]] at level 1 has no weighting: the level-2 cell above it names it
+    with pytest.raises(HomChiUndefinedError) as exc:
+        chi_n(_one_cell_tower(3000, 0))
+    assert exc.value.pair == ("c2", "c2")
+    assert exc.value.depth == 2999
+    assert exc.value.path == tuple((f"c{k}", f"c{k}") for k in range(3000, 1, -1))
+
+
+def test_level_zero_sizes_past_the_budget(monkeypatch):
+    # below the top only the size enters a matrix, so no witness is listed
+    huge = EulerDatum(1, cells=("a",), hom={(0, 0): EulerDatum(0, size=10**30)})
+    assert chi_n(huge).value == Fraction(1, 10**30)
+    # a top-level set lists one weight per element, at most the budget
+    monkeypatch.setenv("EULERKIT_BUDGET", "4")
+    assert chi_n(EulerDatum(0, size=4)).witness_weighting.values == (Fraction(1),) * 4
+    with pytest.raises(BudgetExceededError) as exc:
+        chi_n(EulerDatum(0, size=5))
+    assert str(exc.value) == "search budget of 4 nodes exceeded in chi_n witness"
 
 
 def test_internal_equivalence_classes():

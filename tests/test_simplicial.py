@@ -10,6 +10,7 @@ import pytest
 from eulerkit import (
     BudgetExceededError,
     FormatError,
+    HornStats,
     NotNerveShapedError,
     ValidationError,
     catalog,
@@ -511,6 +512,31 @@ def test_segal_spines_agree_with_unique_fillers():
         kinds.add(kind)
         assert (kind != "other") == filler_report(sset).nerve_shaped, sset.counts()
     assert kinds == {"point", "nerve", "other"}
+
+
+def test_filler_report_counts_per_horn():
+    # In a nerve every (n, k) horn has one filler per path of length n.
+    for cat in catalog.base_suite():
+        paths = path_totals(cat, 4)
+        report = filler_report(nerve(cat, 4))
+        assert report.per_horn == {
+            (n, k): HornStats(paths[n], 0, 0) for n in range(2, 5) for k in range(1, n)
+        }, cat.objects
+    # A duplicated 3-simplex fills its horns twice, a deleted one not at all.
+    dup = filler_report(_edited_top(catalog.cyclic_group(3), "dup"))
+    assert dup.per_horn == {(2, 1): HornStats(9, 0, 0), (3, 1): HornStats(27, 0, 1),
+                            (3, 2): HornStats(27, 0, 1)}
+    gone = filler_report(_edited_top(catalog.cyclic_group(3), "del"))
+    assert gone.per_horn == {(2, 1): HornStats(9, 0, 0), (3, 1): HornStats(27, 1, 0),
+                             (3, 2): HornStats(27, 1, 0)}
+    # A second filler of the horn (1x, s) whose composite face is t instead
+    # of s: the walls alone, not the k-th face, make it a multiple filler.
+    doc = sset_to_json(nerve(catalog.parallel_pair(), 2))
+    doc["simplices"]["2"].append("skew")
+    for i in range(3):
+        doc["faces"][f"2,{i}"]["skew"] = "t" if i == 1 else doc["faces"][f"2,{i}"]["1x|s"]
+    skew = filler_report(sset_from_json(doc))
+    assert skew.per_horn == {(2, 1): HornStats(6, 0, 1)}
 
 
 def test_small_posets_chi_by_chains_nerve_and_reconstruction():
