@@ -10,6 +10,7 @@ here ever repairs input silently.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -167,10 +168,12 @@ def category_violations(objects, morphisms, identity, comp) -> list[str]:
         v.append(
             f"composite defined for non-composable pair (g={pair[0]}, f={pair[1]})"
         )
+    ends_ok = True
     for (g, f), h in sorted(comp.items()):
         if (g, f) not in composable:
             continue
         if morphisms[h].src != morphisms[f].src or morphisms[h].tgt != morphisms[g].tgt:
+            ends_ok = False
             v.append(
                 f"composite ({g},{f})->{h} has endpoints "
                 f"{morphisms[h].src}->{morphisms[h].tgt}, expected "
@@ -187,12 +190,24 @@ def category_violations(objects, morphisms, identity, comp) -> list[str]:
             v.append(f"identity law fails: morphism {f} after id_{m.src} gives {right}")
 
     # Associativity at every composable triple where both routes resolve.
+    # With every composite's endpoints right both routes of (h, g, f) land
+    # in hom(src f, tgt h), so they agree where that hom has one morphism.
+    ones: dict[int, set[int]] = {}  # source -> targets of its one-morphism homs
+    if ends_ok:
+        for (x, y), count in Counter((m.src, m.tgt) for m in morphisms).items():
+            if count == 1:
+                ones.setdefault(x, set()).add(y)
     for f in range(n_mor):
+        one = ones.get(morphisms[f].src)
         for g in by_src.get(morphisms[f].tgt, ()):
             gf = comp.get((g, f))
+            if gf is None:
+                continue
             for h in by_src.get(morphisms[g].tgt, ()):
+                if one and morphisms[h].tgt in one:
+                    continue
                 hg = comp.get((h, g))
-                if gf is None or hg is None:
+                if hg is None:
                     continue
                 left = comp.get((h, gf))
                 right = comp.get((hg, f))

@@ -5,9 +5,14 @@ horizontal-composition tables (on 1-cells and on 2-cells), unit 1-cells,
 and associator/unitor 2-cells.  Validation checks that the hom-categories
 are categories, that the unit and composite tables are total and in range,
 that 2-cell composites have the right endpoints, that horizontal
-composition keeps identities and is functorial over composable pairs, and
-that every associator and unitor has the right endpoints and is
-invertible; it does not check the pentagon or triangle diagrams.
+composition keeps identities and is functorial, and that every associator
+and unitor has the right endpoints and is invertible; it does not check
+the pentagon or triangle diagrams.  Functoriality is decided by the
+bifunctor lemma: composites preserved in each variable with the other at
+an identity, and each 2-cell pair factored both ways through identities.
+That visits |comp(hyz)|·|ob(hxy)| + |comp(hxy)|·|ob(hyz)| + 2·|two| pairs
+per zero-cell triple instead of every pair of composable pairs; the full
+loop over composable pairs runs only when a check fails, to report.
 Omitted coherence cells default to identities, so a bare structure is read
 as strict and validation then enforces that the tables are strictly
 associative and unital; `bicat_to_json` omits exactly the identity cells.
@@ -146,9 +151,40 @@ def _fill_strict_defaults(zero_cells, homcat, hcomp_one, hcomp_two, units,
     return (homcat, hcomp_one, hcomp_two, *cells.values())
 
 
+def _bifunctorial(two, hyz, hxy, hxz) -> bool:
+    """Whether the 2-cell table `two` is a functor hom(y,z) x hom(x,y) ->
+    hom(x,z), by the bifunctor lemma (Mac Lane, CWM II.3, Prop. 1): it
+    preserves composites in each variable with the other at an identity,
+    and each two[(b, a)] equals both two[(b, 1)] . two[(1, a)] and
+    two[(1, a)] . two[(b, 1)], each identity at the end that makes the
+    pair composable.  The three homs must be categories and `two` total
+    and in range."""
+    comp, id_b, id_a = hxz.comp, hyz.identity, hxy.identity
+    for (b2, b1), b in hyz.comp.items():
+        for i in id_a:
+            if two[(b, i)] != comp.get((two[(b2, i)], two[(b1, i)])):
+                return False
+    for (a2, a1), a in hxy.comp.items():
+        for i in id_b:
+            if two[(i, a)] != comp.get((two[(i, a2)], two[(i, a1)])):
+                return False
+    mor_b, mor_a = hyz.morphisms, hxy.morphisms
+    for (b, a), r in two.items():
+        beta, alpha = mor_b[b], mor_a[a]
+        if (r != comp.get((two[(b, id_a[alpha.tgt])], two[(id_b[beta.src], a)]))
+                or r != comp.get((two[(id_b[beta.tgt], a)], two[(b, id_a[alpha.src])]))):
+            return False
+    return True
+
+
 def bicat_violations(zero_cells, homcat, hcomp_one, hcomp_two, units,
                      associator, left_unitor, right_unitor) -> list[str]:
-    """All structural violations; inputs must already carry strict defaults."""
+    """All structural violations; inputs must already carry strict defaults.
+
+    Functoriality of horizontal composition is decided by the bifunctor
+    lemma (`_bifunctorial`): each of its checks is one case of the loop
+    over all pairs of composable pairs, and together they imply the rest.
+    That loop runs only when a check fails, to report every failing pair."""
     v: list[str] = []
     n = len(zero_cells)
 
@@ -215,6 +251,8 @@ def bicat_violations(zero_cells, homcat, hcomp_one, hcomp_two, units,
                     idp = (hyz.identity[g], hxy.identity[f])
                     if two[idp] != hxz.identity[gf]:
                         v.append(f"{where}: identity 2-cells at {(g, f)} do not compose to an identity")
+            if _bifunctorial(two, hyz, hxy, hxz):
+                continue
             # over composable pairs only: (b2, a2) leaving the targets of (b1, a1)
             after_b, after_a = _arrows_from(hyz.morphisms), _arrows_from(hxy.morphisms)
             for (b1, a1), r1 in sorted(two.items()):
@@ -689,13 +727,20 @@ def datum_from_json(data: dict) -> EulerDatum:
 
 
 def datum_to_json(datum: EulerDatum) -> dict:
-    if datum.level == 0:
-        return {"level": 0, "size": datum.size}
-    return {
-        "level": datum.level,
-        "cells": list(datum.cells),
-        "hom": {
-            f"{datum.cells[i]}|{datum.cells[j]}": datum_to_json(sub)
-            for (i, j), sub in sorted(datum.hom.items())
-        },
-    }
+    """Inverse of datum_from_json, hom keys in row-major order.  The walk
+    is on an explicit stack, so depth is not limited by Python's
+    recursion limit."""
+    def shell(node):
+        if node.level == 0:
+            return {"level": 0, "size": node.size}
+        return {"level": node.level, "cells": list(node.cells), "hom": {}}
+
+    out = shell(datum)
+    stack = [(datum, out)] if datum.level else []
+    while stack:
+        node, doc = stack.pop()
+        for (i, j), sub in sorted(node.hom.items()):
+            doc["hom"][f"{node.cells[i]}|{node.cells[j]}"] = child = shell(sub)
+            if sub.level:
+                stack.append((sub, child))
+    return out

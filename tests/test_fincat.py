@@ -93,6 +93,19 @@ def test_validation_catches_bad_tables():
         validate_category(z3.objects, z3.morphisms, z3.identity, bad)
 
 
+def test_misplaced_composite_keeps_triples_into_one_morphism_homs_checked():
+    # Every hom of chain(3) has at most one morphism, so while composites
+    # land in the right homs no triple can break associativity; one that
+    # lands elsewhere (0<=1 after 0<=0 set to 1<=1) can.
+    c = catalog.chain(3)
+    comp = {**c.comp, (1, 0): 3}
+    assert category_violations(c.objects, c.morphisms, c.identity, comp) == [
+        "composite (1,0)->3 has endpoints 1->1, expected 0->1",
+        "identity law fails: morphism 1 after id_0 gives 3",
+        "associativity fails at triple (h=4, g=1, f=0): h(gf)=4 but (hg)f=2",
+    ]
+
+
 def _doc_perturbations(doc):
     """Single-entry edits of a category document, plus one deletion each."""
     names = [m["name"] for m in doc["morphisms"]]

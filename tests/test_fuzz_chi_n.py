@@ -25,6 +25,7 @@ from eulerkit import (
     datum_to_json,
 )
 from eulerkit.cli import main
+from fuzz_docs import HUGE, NAMES, Obj, drop_duplicate_or_retype, objects, text, tree
 
 
 def _bases():
@@ -49,52 +50,11 @@ def _bases():
 BASES = [datum_to_json(d) for d in _bases()]
 
 
-class _Obj(list):
-    """A JSON object as a list of [key, value] pairs, so keys may repeat."""
-
-
-def _tree(doc):
-    if isinstance(doc, dict):
-        return _Obj([k, _tree(v)] for k, v in doc.items())
-    if isinstance(doc, list):
-        return [_tree(v) for v in doc]
-    return doc
-
-
-def _text(node):
-    if isinstance(node, _Obj):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_text(v)}" for k, v in node) + "}"
-    if isinstance(node, list):
-        return "[" + ", ".join(_text(v) for v in node) + "]"
-    return json.dumps(node)
-
-
-def _objects(node, out):
-    """Every object in the tree, outermost first."""
-    if isinstance(node, _Obj):
-        out.append(node)
-        children = [v for _, v in node]
-    else:
-        children = node if isinstance(node, list) else []
-    for child in children:
-        _objects(child, out)
-    return out
-
-
-NAMES = st.text(alphabet="ab,()\\|: ", max_size=4)
-HUGE = st.sampled_from([2**63, 2**64 + 1, 10**30, 10**4000])
-VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 3), HUGE,
-    st.floats(allow_nan=False, allow_infinity=False), NAMES,
-    st.just([]), st.just({}), st.just(["a"]), st.just({"level": 0}),
-)
-
-
 def _rename(data, obj):
     """Rename one cell: in the cell list and in the hom keys, or only in one
     of them, so the keys name a cell out of range."""
     cells = next((v for k, v in obj if k == "cells" and isinstance(v, list)), None)
-    hom = next((v for k, v in obj if k == "hom" and isinstance(v, _Obj)), None)
+    hom = next((v for k, v in obj if k == "hom" and isinstance(v, Obj)), None)
     if not cells:
         return
     old = data.draw(st.sampled_from(cells))
@@ -107,25 +67,19 @@ def _rename(data, obj):
             pair[0] = "|".join(new if p == old else p for p in pair[0].split("|"))
 
 
-def _mutate(data, tree):
-    objects = _objects(tree, [])
-    obj = data.draw(st.sampled_from(objects))
+def _mutate(data, root):
+    every = objects(root, [])
+    obj = data.draw(st.sampled_from(every))
     op = data.draw(st.sampled_from(["drop", "duplicate", "retype", "rename", "huge"]))
     if op == "rename":
         _rename(data, obj)
     elif op == "huge":
-        for o in objects:
+        for o in every:
             for pair in o:
                 if pair[0] == "size" and data.draw(st.booleans()):
                     pair[1] = data.draw(HUGE)
-    elif obj:
-        k = data.draw(st.integers(0, len(obj) - 1))
-        if op == "drop":
-            del obj[k]
-        elif op == "duplicate":
-            obj.append([obj[k][0], data.draw(st.one_of(st.just(obj[k][1]), VALUES))])
-        else:
-            obj[k][1] = data.draw(VALUES)
+    else:
+        drop_duplicate_or_retype(data, obj, op)
 
 
 def _nested(data, text, level):
@@ -145,14 +99,14 @@ def _nested(data, text, level):
 @given(data=st.data())
 def test_chi_n_verb_survives_mutated_documents(tmp_path_factory, data):
     doc = data.draw(st.sampled_from(BASES))
-    tree = _tree(doc)
+    root = tree(doc)
     for _ in range(data.draw(st.integers(1, 3))):
-        _mutate(data, tree)
-    text = _text(tree)
+        _mutate(data, root)
+    body = text(root)
     if data.draw(st.booleans()):
-        text = _nested(data, text, doc["level"])
+        body = _nested(data, body, doc["level"])
     path = tmp_path_factory.mktemp("fuzz") / "datum.json"
-    path.write_text(text)
+    path.write_text(body)
     argv = ["chi-n", str(path)] + (["--witness"] if data.draw(st.booleans()) else [])
 
     out, err = io.StringIO(), io.StringIO()

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerkit import (
     BudgetExceededError,
@@ -459,6 +461,27 @@ def test_datum_json_roundtrip():
         datum_from_json({"level": 1, "cells": ["a"], "hom": {}, "junk": 0})
 
 
+def test_datum_to_json_depth_is_not_bounded_by_recursion():
+    doc = datum_to_json(_one_cell_tower(3000, 2))
+    for level in range(3000, 0, -1):
+        assert list(doc) == ["level", "cells", "hom"]
+        assert doc["level"] == level and doc["cells"] == [f"c{level}"]
+        ((key, doc),) = doc["hom"].items()
+        assert key == f"c{level}|c{level}"
+    assert doc == {"level": 0, "size": 2}
+
+
+@pytest.mark.parametrize("levels", [1, 400])
+def test_one_cell_towers_round_trip(levels):
+    tower = _one_cell_tower(levels, 3)
+    back = datum_from_json(json.loads(json.dumps(datum_to_json(tower))))
+    # == on EulerDatum recurses once per level, so compare level by level
+    while tower.level:
+        assert (back.level, back.cells, list(back.hom)) == (tower.level, tower.cells, [(0, 0)])
+        tower, back = tower.hom[(0, 0)], back.hom[(0, 0)]
+    assert back == tower
+
+
 def _z2_two_group_doc(associator="gt"):
     """The 2-group with pi_1 = pi_2 = Z/2 whose associator is the cocycle
     xyz generating H^3(Z/2; Z/2): one zero-cell *, 1-cells e and t, each
@@ -521,6 +544,68 @@ def _idempotent_bicat():
 def _with_extra_composite(cat, pair, value):
     return FinCat(cat.objects, cat.morphisms, cat.identity, {**cat.comp, pair: value})
 
+
+def _arrow_bicat(hom_xx, hom_xy, hom_yy, two):
+    """Zero-cells x, y, one 1-cell in each nonempty hom, hom(y,x) empty;
+    two(key, b, a) is the horizontal composite at each triple key."""
+    homcat = {(0, 0): hom_xx, (0, 1): hom_xy, (1, 0): catalog.empty_category(),
+              (1, 1): hom_yy}
+    keys = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    hcomp_two = {
+        (x, y, z): {(b, a): two((x, y, z), b, a)
+                    for b in range(len(homcat[(y, z)].morphisms))
+                    for a in range(len(homcat[(x, y)].morphisms))}
+        for x, y, z in keys
+    }
+    return bicat_from_parts(["x", "y"], homcat, {key: {(0, 0): 0} for key in keys},
+                            hcomp_two, units=[0, 0])
+
+
+def _z3_pair_bicat(trivial=0):
+    """Every nonempty hom Z3 (2-cells g0, g1, g2, composed by adding) but
+    the endo-hom of zero-cell `trivial`, which has only its identity."""
+    homs = [catalog.cyclic_group(3), catalog.cyclic_group(3), catalog.cyclic_group(3)]
+    homs[2 * trivial] = catalog.discrete(1, ["i"])
+    return _arrow_bicat(*homs, lambda key, b, a: (a + b) % 3)
+
+
+def _transformation_pair_bicat():
+    """hom(x,x) = Z2, hom(x,y) the maps {0,1} -> {0,1} under composition
+    (00, 01 = identity, 10 = swap, 11), hom(y,y) trivial; whiskering by
+    hom(x,x) or hom(y,y) leaves each map as it is."""
+    return _arrow_bicat(catalog.cyclic_group(2), catalog.full_transformation_monoid(2),
+                        catalog.discrete(1, ["i"]),
+                        lambda key, b, a: {(0, 0, 0): (a + b) % 2, (0, 0, 1): b}.get(key, a))
+
+
+def _nf(cells, *quads):
+    """Not-functorial lines at hcomp(cells), one per (b2, a2, b1, a1)."""
+    return [f"hcomp({cells}): horizontal composition is not functorial at "
+            f"(({b2},{a2}) . ({b1},{a1}))" for b2, a2, b1, a1 in quads]
+
+
+BASES = {
+    "suspension_z2": catalog.suspension_z2,
+    "two_group": lambda: bicat_from_json(_z2_two_group_doc()),
+    "idempotent": _idempotent_bicat,
+    "z3_pair": _z3_pair_bicat,
+    "z3_pair_y": lambda: _z3_pair_bicat(trivial=1),
+    "transformations": _transformation_pair_bicat,
+}
+
+
+def _parts(b):
+    """The parts of `b` as bicat_violations takes them, tables copied."""
+    return {
+        "zero_cells": b.zero_cells,
+        "homcat": dict(b.homcat),
+        "hcomp_one": {k: dict(v) for k, v in b.hcomp_one.items()},
+        "hcomp_two": {k: dict(v) for k, v in b.hcomp_two.items()},
+        "units": b.unit_one_cell,
+        "associator": dict(b.associator),
+        "left_unitor": dict(b.left_unitor),
+        "right_unitor": dict(b.right_unitor),
+    }
 
 H = "hcomp(*,*,*): "
 NF = H + "horizontal composition is not functorial at "
@@ -620,6 +705,27 @@ PINNED_VIOLATIONS = [
     ("right unitor not invertible", "idempotent",
      lambda p: p["right_unitor"].update({(0, 0, 0): 1}),
      ["right unitor(*,*; f=0): not invertible"]),
+    # The bifunctor lemma's checks, each failing alone.  Setting g1 * g1 =
+    # g0 leaves every pair with an identity as it was, so composites are
+    # kept in each variable, but g1 * g1 no longer factors through
+    # identities as (g1 * g0)(g0 * g1).
+    ("functorial in each variable, not jointly", "z3_pair",
+     lambda p: p["hcomp_two"][(0, 1, 1)].update({(1, 1): 0}),
+     _nf("x,y,y", (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 0, 2), (1, 2, 0, 2), (0, 1, 1, 0),
+         (1, 1, 1, 0), (0, 1, 1, 1), (0, 2, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1), (1, 2, 1, 1),
+         (2, 0, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1), (0, 2, 1, 2), (1, 1, 1, 2), (1, 1, 2, 0),
+         (2, 1, 2, 0), (1, 1, 2, 1), (2, 0, 2, 1), (1, 1, 2, 2), (2, 2, 2, 2))),
+    ("not jointly functorial on the endo-hom", "z3_pair",
+     lambda p: p["hcomp_two"][(1, 1, 1)].update({(2, 1): 2}),
+     _nf("y,y,y", (2, 0, 0, 1), (2, 1, 0, 1), (2, 1, 0, 2), (2, 2, 0, 2), (1, 1, 1, 0),
+         (2, 1, 1, 0), (1, 0, 1, 1), (2, 1, 1, 1), (1, 2, 1, 2), (2, 1, 1, 2), (0, 1, 2, 0),
+         (2, 1, 2, 0), (0, 1, 2, 1), (0, 2, 2, 1), (1, 0, 2, 1), (1, 1, 2, 1), (1, 2, 2, 1),
+         (2, 0, 2, 1), (2, 1, 2, 1), (2, 2, 2, 1), (0, 2, 2, 2), (2, 1, 2, 2))),
+    # hom(x,x) has only its identity, so whiskering g -> g with it must
+    # preserve composites; g2 -> g1 breaks that and nothing else.
+    ("not functorial in the first variable", "z3_pair",
+     lambda p: p["hcomp_two"][(0, 0, 1)].update({(2, 0): 1}),
+     _nf("x,x,y", (1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 0), (2, 0, 2, 0))),
 ]
 
 
@@ -629,21 +735,87 @@ PINNED_VIOLATIONS = [
     ids=[case[0] for case in PINNED_VIOLATIONS],
 )
 def test_each_violation_kind_reports_its_exact_list(base, edit, expected):
-    b = bicat_from_json(_z2_two_group_doc()) if base == "two_group" else _idempotent_bicat()
+    b = BASES[base]()
     assert bicat_violations(b.zero_cells, b.homcat, b.hcomp_one, b.hcomp_two, b.unit_one_cell,
                             b.associator, b.left_unitor, b.right_unitor) == []
-    parts = {
-        "zero_cells": b.zero_cells,
-        "homcat": dict(b.homcat),
-        "hcomp_one": {k: dict(v) for k, v in b.hcomp_one.items()},
-        "hcomp_two": {k: dict(v) for k, v in b.hcomp_two.items()},
-        "units": b.unit_one_cell,
-        "associator": dict(b.associator),
-        "left_unitor": dict(b.left_unitor),
-        "right_unitor": dict(b.right_unitor),
-    }
+    parts = _parts(b)
     edit(parts)
     assert bicat_violations(**parts) == expected
+
+
+def _functoriality_by_pairs(b, hcomp_two):
+    """The identity and functoriality lines by definition: every pair of
+    composable 2-cell pairs is checked directly."""
+    out = []
+    for (x, y, z), two in sorted(hcomp_two.items()):
+        hyz, hxy, hxz = b.homcat[(y, z)], b.homcat[(x, y)], b.homcat[(x, z)]
+        where = f"hcomp({b.zero_cells[x]},{b.zero_cells[y]},{b.zero_cells[z]}): "
+        for (g, f), gf in sorted(b.hcomp_one[(x, y, z)].items()):
+            if two[(hyz.identity[g], hxy.identity[f])] != hxz.identity[gf]:
+                out.append(f"{where}identity 2-cells at {(g, f)} do not compose to an identity")
+        for (b1, a1), r1 in sorted(two.items()):
+            for (b2, a2), r2 in sorted(two.items()):
+                if (b2, b1) not in hyz.comp or (a2, a1) not in hxy.comp:
+                    continue
+                if two[(hyz.comp[(b2, b1)], hxy.comp[(a2, a1)])] != hxz.comp.get((r2, r1)):
+                    out.append(f"{where}horizontal composition is not functorial at "
+                               f"(({b2},{a2}) . ({b1},{a1}))")
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_functoriality_report_matches_the_composable_pair_loop(data):
+    # Z2, Z3 and transformation-monoid homs, and the two-object hom of the
+    # 2-group; each edit keeps the endpoints of its 2-cell composite, so
+    # only the identity and functoriality checks can report.
+    b = BASES[data.draw(st.sampled_from(
+        ["suspension_z2", "z3_pair", "z3_pair_y", "transformations", "two_group"]))]()
+    tables = {key: dict(two) for key, two in b.hcomp_two.items()}
+    for _ in range(data.draw(st.integers(1, 4))):
+        key = data.draw(st.sampled_from(sorted(k for k, two in tables.items() if two)))
+        x, y, z = key
+        hyz, hxy, hxz = b.homcat[(y, z)], b.homcat[(x, y)], b.homcat[(x, z)]
+        pair = data.draw(st.sampled_from(sorted(tables[key])))
+        beta, alpha = hyz.morphisms[pair[0]], hxy.morphisms[pair[1]]
+        ends = (b.hcomp_one[key][(beta.src, alpha.src)], b.hcomp_one[key][(beta.tgt, alpha.tgt)])
+        tables[key][pair] = data.draw(st.sampled_from(
+            [m for m, mor in enumerate(hxz.morphisms) if (mor.src, mor.tgt) == ends]))
+    got = bicat_violations(b.zero_cells, b.homcat, b.hcomp_one, tables, b.unit_one_cell,
+                           b.associator, b.left_unitor, b.right_unitor)
+    assert got == _functoriality_by_pairs(b, tables)
+
+
+def _swap_on_the_generator(swap_after):
+    """Edit setting two[(s, g1)] to swap after s for every map s, or to s
+    after swap; the factoring that puts two[(1, g1)] = swap on the same
+    side still agrees, the other does not."""
+    def edit(p):
+        t2 = p["homcat"][(0, 1)]
+        p["hcomp_two"][(0, 0, 1)].update(
+            {(s, 1): t2.comp[(2, s) if swap_after else (s, 2)] for s in range(4)})
+    return edit
+
+
+# The checks of the bifunctor lemma that no pinned case fails alone, each
+# failed alone: Z3 whiskered by a trivial hom on the left, and each of the
+# two factorings through identities in a noncommutative hom.
+ALONE = [
+    ("composites in the second variable", "z3_pair_y",
+     lambda p: p["hcomp_two"][(0, 1, 1)].update({(0, 2): 1})),
+    ("factoring two[(b, 1)] . two[(1, a)]", "transformations", _swap_on_the_generator(True)),
+    ("factoring two[(1, a)] . two[(b, 1)]", "transformations", _swap_on_the_generator(False)),
+]
+
+
+@pytest.mark.parametrize("base, edit", [case[1:] for case in ALONE],
+                         ids=[case[0] for case in ALONE])
+def test_each_lemma_check_failing_alone_is_reported(base, edit):
+    b = BASES[base]()
+    parts = _parts(b)
+    edit(parts)
+    got = bicat_violations(**parts)
+    assert got and got == _functoriality_by_pairs(b, parts["hcomp_two"])
 
 
 def test_from_parts_rejects_out_of_range_hcomp_key():
