@@ -337,6 +337,9 @@ def no_weighting_bicat() -> "FinBicat":
 
     Every hom characteristic exists, but the matrix admits neither a
     weighting nor a coweighting, so the total characteristic does not.
+
+    It is not a bicategory: in hom(x,x), unit a, t * 1_a = s where natural
+    unitors need t.  bicat_violations accepts it as it does not check that.
     """
     from .higher import bicat_from_parts
 

@@ -13,6 +13,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, FormatError, ValidationError
@@ -554,8 +555,6 @@ def equivalent(a: FinCat, b: FinCat) -> bool:
 # --- JSON interchange -------------------------------------------------------
 
 _CATEGORY_KEYS = {"objects": list, "morphisms": list, "identities": dict, "composition": list}
-_MORPHISM_KEYS = {"name": str, "src": str, "tgt": str}
-_COMPOSITION_KEYS = {"first": str, "then": str, "equals": str}
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
@@ -573,40 +572,56 @@ def _check_keys(data, allowed: Mapping[str, type], where: str,
             raise FormatError(f"{where}: unknown keys {sorted(data.keys() - allowed.keys())}")
         if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise FormatError(f"{where}: {key!r} must be {_KINDS[kind]}")
-    for key in required if required is not None else allowed:
+    if required is None:  # every key is known, so only a short object lacks one
+        required = allowed if len(data) < len(allowed) else ()
+    for key in required:
         if key not in data:
             raise FormatError(f"{where}: missing key {key!r}")
 
 
+def _rows(entries, fields: tuple[str, ...], where: str):
+    """Checks entry k of the JSON list `entries` as an object of exactly the
+    string `fields`, under `{where} #k`; yields that text and the values."""
+    allowed = dict.fromkeys(fields, str)
+    values = itemgetter(*fields)
+    for k, entry in enumerate(entries):
+        at = f"{where} #{k}"
+        _check_keys(entry, allowed, at)
+        yield at, values(entry)
+
+
+def _names(names, where: str, key: str, noun: str, bar: bool = False) -> dict[str, int]:
+    """The name -> index map of the JSON list `names`: distinct strings,
+    without '|' when `bar` is set (names joined into |-separated keys)."""
+    if not all(isinstance(name, str) for name in names):
+        raise FormatError(f"{where}: {key} must be a list of strings")
+    if bar and "|" in "".join(names):
+        raise FormatError(f"{where}: {noun} names may not contain '|'")
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise FormatError(f"{where}: {noun} names are not unique")
+    return index
+
+
 def category_from_json(data: dict) -> FinCat:
     """Decode, infer omitted identity composites, and validate."""
-    return validate_category(*_category_parts(data))
+    return validate_category(*_category_parts(data)[0])
 
 
 def _category_parts(data: dict):
-    """The four stored-form parts of a category document, identity
-    composites filled in; the category axioms are not checked."""
+    """The four stored-form parts of a category document, identity composites
+    filled in, then its object and morphism name maps; axioms not checked."""
     _check_keys(data, _CATEGORY_KEYS, "category")
     objects = data["objects"]
-    if not all(isinstance(o, str) for o in objects):
-        raise FormatError("category: objects must be a list of strings")
-    if len(set(objects)) != len(objects):
-        raise FormatError("category: object names are not unique")
-    obj_index = {o: i for i, o in enumerate(objects)}
+    obj_index = _names(objects, "category", "objects", "object")
 
     morphisms = []
-    for k, entry in enumerate(data["morphisms"]):
-        _check_keys(entry, _MORPHISM_KEYS, f"morphism #{k}")
-        for side in ("src", "tgt"):
-            if entry[side] not in obj_index:
-                raise FormatError(f"morphism #{k}: unknown object {entry[side]!r}")
-        morphisms.append(
-            Morphism(entry["name"], obj_index[entry["src"]], obj_index[entry["tgt"]])
-        )
-    names = [m.name for m in morphisms]
-    if len(set(names)) != len(names):
-        raise FormatError("category: morphism names are not unique")
-    mor_index = {m.name: i for i, m in enumerate(morphisms)}
+    for where, (name, src, tgt) in _rows(data["morphisms"], ("name", "src", "tgt"), "morphism"):
+        x, y = obj_index.get(src), obj_index.get(tgt)
+        if x is None or y is None:
+            raise FormatError(f"{where}: unknown object {src if x is None else tgt!r}")
+        morphisms.append(Morphism(name, x, y))
+    mor_index = _names([m.name for m in morphisms], "category", "morphisms", "morphism")
 
     identities = data["identities"]
     _check_keys(identities, dict.fromkeys(objects, str), "identities")
@@ -617,23 +632,19 @@ def _category_parts(data: dict):
         identity.append(mor_index[identities[obj]])
 
     comp = {}
-    for k, entry in enumerate(data["composition"]):
-        _check_keys(entry, _COMPOSITION_KEYS, f"composition #{k}")
-        for slot in ("first", "then", "equals"):
-            if entry[slot] not in mor_index:
-                raise FormatError(f"composition #{k}: unknown morphism {entry[slot]!r}")
-        key = (mor_index[entry["then"]], mor_index[entry["first"]])
-        value = mor_index[entry["equals"]]
-        if key in comp and comp[key] != value:
-            raise FormatError(
-                f"composition #{k}: conflicting duplicate for "
-                f"(first={entry['first']!r}, then={entry['then']!r})"
-            )
-        comp[key] = value
+    fields = ("first", "then", "equals")
+    for where, (first, then, equals) in _rows(data["composition"], fields, "composition"):
+        f, g, h = mor_index.get(first), mor_index.get(then), mor_index.get(equals)
+        if f is None or g is None or h is None:
+            unknown = next(s for s in (first, then, equals) if s not in mor_index)
+            raise FormatError(f"{where}: unknown morphism {unknown!r}")
+        if comp.setdefault((g, f), h) != h:
+            raise FormatError(f"{where}: conflicting duplicate for "
+                              f"(first={first!r}, then={then!r})")
 
     identity = tuple(identity)
     comp = with_identity_composites(morphisms, identity, comp)
-    return tuple(objects), tuple(morphisms), identity, comp
+    return (tuple(objects), tuple(morphisms), identity, comp), (obj_index, mor_index)
 
 
 def category_to_json(cat: FinCat) -> dict:

@@ -41,8 +41,10 @@ from .fincat import (
     _category_parts,
     _check_keys,
     _is_invertible,
+    _names,
     _node_counter,
     _partition,
+    _rows,
     category_to_json,
     category_violations,
     objects_isomorphic,
@@ -543,44 +545,25 @@ def _split_key(key: str, parts: int, where: str, names: dict[str, int]) -> tuple
 _BICAT_KEYS = {"zero_cells": list, "hom": dict, "hcomp": dict, "units": dict,
                "associators": list, "unitors": dict}
 _HCOMP_KEYS = {"one_cells": list, "two_cells": list}
-_ONE_CELL_KEYS = {"g": str, "f": str, "equals": str}
-_TWO_CELL_KEYS = {"beta": str, "alpha": str, "equals": str}
-_ASSOCIATOR_KEYS = {"path": str, "h": str, "g": str, "f": str, "equals": str}
-_UNITOR_KEYS = {"path": str, "f": str, "equals": str}
+_NO_CELLS = ({}, {})  # the name maps of a hom the document omits
 
 
 def bicat_from_json(data: dict) -> FinBicat:
     _check_keys(data, _BICAT_KEYS, "bicategory",
                 required=("zero_cells", "hom", "hcomp", "units"))
     zero_cells = data["zero_cells"]
-    if not all(isinstance(z, str) for z in zero_cells):
-        raise FormatError("bicategory: zero_cells must be a list of strings")
-    if any("|" in z for z in zero_cells):
-        raise FormatError("bicategory: zero-cell names may not contain '|'")
-    if len(set(zero_cells)) != len(zero_cells):
-        raise FormatError("bicategory: zero-cell names are not unique")
-    names = {z: i for i, z in enumerate(zero_cells)}
+    names = _names(zero_cells, "bicategory", "zero_cells", "zero-cell", bar=True)
 
     # Homs are decoded unchecked: bicat_violations checks each one once.
     homcat = {}
+    cells = {(x, y): _NO_CELLS for x in names.values() for y in names.values()}
     for key, sub in data["hom"].items():
         pair = _split_key(key, 2, "hom", names)
-        homcat[pair] = FinCat(*_category_parts(sub))
-    n = len(zero_cells)
-    for x in range(n):
-        for y in range(n):
-            homcat.setdefault((x, y), _EMPTY_CAT)
+        parts, cells[pair] = _category_parts(sub)
+        homcat[pair] = FinCat(*parts)
 
-    # One name -> index map per hom for its 1-cells and one for its
-    # 2-cells; _category_parts has rejected duplicate names in each.
-    cells = {
-        pair: ({o: i for i, o in enumerate(cat.objects)},
-               {m.name: i for i, m in enumerate(cat.morphisms)})
-        for pair, cat in homcat.items()
-    }
-
-    def cell(dim, pair, name, where):
-        index = cells[pair][dim - 1].get(name)
+    def cell(dim, hom, name, where):  # hom: one value of cells
+        index = hom[dim - 1].get(name)
         if index is None:
             raise FormatError(f"{where}: unknown {dim}-cell {name!r}")
         return index
@@ -590,49 +573,38 @@ def bicat_from_json(data: dict) -> FinBicat:
     for key, tables in data["hcomp"].items():
         x, y, z = _split_key(key, 3, "hcomp", names)
         _check_keys(tables, _HCOMP_KEYS, f"hcomp {key!r}", required=())
-        one = {}
-        for k, entry in enumerate(tables.get("one_cells", [])):
-            where = f"hcomp {key!r} one_cells #{k}"
-            _check_keys(entry, _ONE_CELL_KEYS, where)
-            one[(cell(1, (y, z), entry["g"], where),
-                 cell(1, (x, y), entry["f"], where))] = cell(1, (x, z), entry["equals"], where)
-        two = {}
-        for k, entry in enumerate(tables.get("two_cells", [])):
-            where = f"hcomp {key!r} two_cells #{k}"
-            _check_keys(entry, _TWO_CELL_KEYS, where)
-            two[(cell(2, (y, z), entry["beta"], where),
-                 cell(2, (x, y), entry["alpha"], where))] = cell(2, (x, z), entry["equals"], where)
-        hcomp_one[(x, y, z)] = one
-        hcomp_two[(x, y, z)] = two
+        hyz, hxy, hxz = cells[(y, z)], cells[(x, y)], cells[(x, z)]
+        for dim, side, fields, store in ((1, "one_cells", ("g", "f", "equals"), hcomp_one),
+                                         (2, "two_cells", ("beta", "alpha", "equals"), hcomp_two)):
+            table = store[(x, y, z)] = {}
+            for where, (left, right, equals) in _rows(tables.get(side, []), fields,
+                                                      f"hcomp {key!r} {side}"):
+                table[(cell(dim, hyz, left, where),
+                       cell(dim, hxy, right, where))] = cell(dim, hxz, equals, where)
 
     units_raw = data["units"]
     _check_keys(units_raw, dict.fromkeys(zero_cells, str), "units")
-    units = tuple(
-        cell(1, (names[z], names[z]), units_raw[z], f"units[{z!r}]")
-        for z in zero_cells
-    )
+    units = tuple(cell(1, cells[(x, x)], units_raw[z], f"units[{z!r}]") for z, x in names.items())
 
     associator = {}
-    for k, entry in enumerate(data.get("associators", [])):
-        where = f"associators #{k}"
-        _check_keys(entry, _ASSOCIATOR_KEYS, where)
-        x, y, z, w = _split_key(entry["path"], 4, where, names)
+    for where, (path, h, g, f, equals) in _rows(data.get("associators", []),
+                                                 ("path", "h", "g", "f", "equals"), "associators"):
+        x, y, z, w = _split_key(path, 4, where, names)
         associator[(x, y, z, w,
-                    cell(1, (z, w), entry["h"], where),
-                    cell(1, (y, z), entry["g"], where),
-                    cell(1, (x, y), entry["f"], where))] = cell(2, (x, w), entry["equals"], where)
+                    cell(1, cells[(z, w)], h, where),
+                    cell(1, cells[(y, z)], g, where),
+                    cell(1, cells[(x, y)], f, where))] = cell(2, cells[(x, w)], equals, where)
 
     left_unitor: dict = {}
     right_unitor: dict = {}
     unitors = data.get("unitors", {})
     _check_keys(unitors, {"left": list, "right": list}, "unitors", required=())
     for side, store in (("left", left_unitor), ("right", right_unitor)):
-        for k, entry in enumerate(unitors.get(side, [])):
-            where = f"unitors.{side} #{k}"
-            _check_keys(entry, _UNITOR_KEYS, where)
-            x, y = _split_key(entry["path"], 2, where, names)
-            f = cell(1, (x, y), entry["f"], where)
-            store[(x, y, f)] = cell(2, (x, y), entry["equals"], where)
+        for where, (path, f, equals) in _rows(unitors.get(side, []), ("path", "f", "equals"),
+                                              f"unitors.{side}"):
+            x, y = _split_key(path, 2, where, names)
+            f = cell(1, cells[(x, y)], f, where)
+            store[(x, y, f)] = cell(2, cells[(x, y)], equals, where)
 
     return bicat_from_parts(zero_cells, homcat, hcomp_one, hcomp_two, units,
                             associator, left_unitor, right_unitor)
@@ -702,7 +674,9 @@ _DATUM_LEAF_KEYS = {"level": int, "size": int}
 _DATUM_KEYS = {"level": int, "cells": list, "hom": dict}
 
 
-def datum_from_json(data: dict) -> EulerDatum:
+def _datum_node(data, into, slot):
+    """Checks one node of a datum document: a level-0 datum is stored at
+    into[slot], and a positive level gives the frame that reads its hom."""
     level = data.get("level") if isinstance(data, dict) else None
     _check_keys(data, _DATUM_LEAF_KEYS if level == 0 else _DATUM_KEYS, "datum")
     if level < 0:
@@ -710,20 +684,29 @@ def datum_from_json(data: dict) -> EulerDatum:
     if level == 0:
         if data["size"] < 0:
             raise FormatError("datum: level 0 needs a nonnegative integer size")
-        return EulerDatum(0, size=data["size"])
-    cells = data["cells"]
-    if not all(isinstance(c, str) for c in cells):
-        raise FormatError("datum: cells must be a list of strings")
-    if any("|" in c for c in cells):
-        raise FormatError("datum: cell names may not contain '|'")
-    if len(set(cells)) != len(cells):
-        raise FormatError("datum: cell names are not unique")
-    names = {c: i for i, c in enumerate(cells)}
-    hom = {}
-    for key, sub in data["hom"].items():
-        pair = _split_key(key, 2, "datum hom", names)
-        hom[pair] = datum_from_json(sub)
-    return EulerDatum(level, cells=tuple(cells), hom=hom)
+        into[slot] = EulerDatum(0, size=data["size"])
+        return None
+    names = _names(data["cells"], "datum", "cells", "cell", bar=True)
+    return into, slot, level, data["cells"], names, {}, iter(data["hom"].items())
+
+
+def datum_from_json(data: dict) -> EulerDatum:
+    """Decode on an explicit stack, so depth is not limited by recursion, in
+    the order of a recursive descent: each hom key before its datum."""
+    out: dict = {}
+    frame = _datum_node(data, out, None)
+    stack = [frame] if frame else []
+    while stack:
+        into, slot, level, cells, names, hom, entries = stack[-1]
+        for key, sub in entries:
+            frame = _datum_node(sub, hom, _split_key(key, 2, "datum hom", names))
+            if frame:
+                stack.append(frame)
+                break
+        else:
+            stack.pop()
+            into[slot] = EulerDatum(level, cells=tuple(cells), hom=hom)
+    return out[None]
 
 
 def datum_to_json(datum: EulerDatum) -> dict:

@@ -561,6 +561,8 @@ def sset_from_json(data: dict) -> TruncatedSSet:
     dim = data["dim"]
     if dim < 0:
         raise FormatError("simplicial structure: dim must be a nonnegative integer")
+    if dim > 1000:  # d(d + 2) tables, whatever the file holds: a few bytes could exhaust memory
+        raise FormatError("simplicial structure: dim must be at most 1000")
     raw_levels = data.get("simplices", {})
     _check_keys(raw_levels, {str(n): list for n in range(dim + 1)}, "simplices", required=())
     simplices = [tuple(raw_levels.get(str(n), [])) for n in range(dim + 1)]
@@ -577,7 +579,7 @@ def sset_from_json(data: dict) -> TruncatedSSet:
                 raise FormatError(f"{what} key {key!r} must look like 'n,i'") from None
             if not isinstance(table, dict) or not all(isinstance(t, str) for t in table.values()):
                 raise FormatError(f"{what}[{key!r}] must map simplex ids to simplex ids")
-            out[(n, i)] = dict(table)
+            out[(n, i)] = table
         return out
 
     face = parse_tables(data.get("faces", {}), "faces")

@@ -63,3 +63,48 @@ def drop_duplicate_or_retype(data, obj, op):
         obj.append([obj[k][0], data.draw(st.one_of(st.just(obj[k][1]), VALUES))])
     else:
         obj[k][1] = data.draw(VALUES)
+
+
+def strings(node, out):
+    """(container, index) of every string: object keys, object values and
+    list items."""
+    if isinstance(node, Obj):
+        for pair in node:
+            out.append((pair, 0))
+            if isinstance(pair[1], str):
+                out.append((pair, 1))
+            else:
+                strings(pair[1], out)
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            if isinstance(v, str):
+                out.append((node, i))
+            else:
+                strings(v, out)
+    return out
+
+
+def rename(data, root):
+    """One name, or one part of a |-joined key, swapped for another name."""
+    spots = strings(root, [])
+    names = sorted({part for box, i in spots for part in box[i].split("|")})
+    box, i = data.draw(st.sampled_from(spots))
+    parts = box[i].split("|")
+    k = data.draw(st.integers(0, len(parts) - 1))
+    parts[k] = data.draw(st.one_of(st.sampled_from(names), NAMES))
+    box[i] = "|".join(parts)
+
+
+def reassign(data, root):
+    """One field of a list entry (a morphism, a composite, a coherence
+    cell) set to that field of a sibling entry: the name stays in its hom,
+    so the document usually loads and the axioms decide."""
+    lists = [v for o in objects(root, []) for _, v in o
+             if isinstance(v, list) and len(v) > 1 and all(isinstance(e, Obj) for e in v)]
+    if not lists:
+        return
+    entries = data.draw(st.sampled_from(lists))
+    entry, donor = data.draw(st.sampled_from(entries)), data.draw(st.sampled_from(entries))
+    if entry:
+        pair = data.draw(st.sampled_from(entry))
+        pair[1] = next((v for k, v in donor if k == pair[0]), pair[1])

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from eulerkit import bicat_to_json, cat_as_bicat, catalog
 from eulerkit.cli import main
-from fuzz_docs import NAMES, VALUES, Obj, drop_duplicate_or_retype, objects, text, tree
+from fuzz_docs import (
+    NAMES, VALUES, Obj, drop_duplicate_or_retype, objects, reassign, rename, text, tree,
+)
 
 
 def _weak_suspension():
@@ -40,36 +42,6 @@ BASES = [
 ]
 
 
-def _strings(node, out):
-    """(container, index) of every string: object keys, object values and
-    list items."""
-    if isinstance(node, Obj):
-        for pair in node:
-            out.append((pair, 0))
-            if isinstance(pair[1], str):
-                out.append((pair, 1))
-            else:
-                _strings(pair[1], out)
-    elif isinstance(node, list):
-        for i, v in enumerate(node):
-            if isinstance(v, str):
-                out.append((node, i))
-            else:
-                _strings(v, out)
-    return out
-
-
-def _rename(data, root):
-    """One name, or one part of a |-joined key, swapped for another name."""
-    spots = _strings(root, [])
-    names = sorted({part for box, i in spots for part in box[i].split("|")})
-    box, i = data.draw(st.sampled_from(spots))
-    parts = box[i].split("|")
-    k = data.draw(st.integers(0, len(parts) - 1))
-    parts[k] = data.draw(st.one_of(st.sampled_from(names), NAMES))
-    box[i] = "|".join(parts)
-
-
 def _bad_units(data, root):
     """Units with a zero-cell missing or added, or mapped to any name."""
     units = next((v for k, v in root if k == "units"), None)
@@ -85,28 +57,13 @@ def _bad_units(data, root):
             st.one_of(st.sampled_from(["*", "e", "g1", "ix", "k", "f1"]), VALUES))
 
 
-def _reassign(data, root):
-    """One field of a list entry (a morphism, a composite, a coherence
-    cell) set to that field of a sibling entry: the name stays in its hom,
-    so the document usually loads and the axioms decide."""
-    lists = [v for o in objects(root, []) for _, v in o
-             if isinstance(v, list) and len(v) > 1 and all(isinstance(e, Obj) for e in v)]
-    if not lists:
-        return
-    entries = data.draw(st.sampled_from(lists))
-    entry, donor = data.draw(st.sampled_from(entries)), data.draw(st.sampled_from(entries))
-    if entry:
-        pair = data.draw(st.sampled_from(entry))
-        pair[1] = next((v for k, v in donor if k == pair[0]), pair[1])
-
-
 def _mutate(data, root):
     op = data.draw(st.sampled_from(["drop", "duplicate", "retype", "rename", "units",
                                     "reassign"]))
     if op == "rename":
-        _rename(data, root)
+        rename(data, root)
     elif op == "reassign":
-        _reassign(data, root)
+        reassign(data, root)
     elif op == "units":
         _bad_units(data, root)
     else:

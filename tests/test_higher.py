@@ -23,6 +23,8 @@ from eulerkit import (
     bicat_violations,
     cat_as_bicat,
     catalog,
+    category_from_json,
+    category_to_json,
     chi_n,
     datum_from_json,
     datum_of_category,
@@ -448,6 +450,129 @@ def test_bicat_json_names_an_unknown_cell(path, message):
     assert str(exc.value) == f"{message} 'nope'"
 
 
+def _weak_z2_doc():
+    """suspension_z2 with an associator and both unitors written out."""
+    doc = bicat_to_json(catalog.suspension_z2())
+    doc["associators"] = [{"path": "x|y|x|y", "h": "*", "g": "*", "f": "*", "equals": "g0"}]
+    doc["unitors"] = {side: [{"path": "y|x", "f": "*", "equals": "g0"}]
+                      for side in ("left", "right")}
+    return doc
+
+
+def _put(*path_and_value):
+    *inner, last, value = path_and_value
+
+    def edit(doc):
+        for key in inner:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _drop(*path):
+    *inner, last = path
+
+    def edit(doc):
+        for key in inner:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+def _retract_doc():
+    return category_to_json(catalog.walking_retract())
+
+
+def _z2_datum_doc():
+    return datum_to_json(bicat_to_datum(catalog.suspension_z2()))
+
+
+# One malformed document per kind of list entry and per list of names the
+# three loaders read, with the exact message.  Where a document has two
+# faults, the one reported first is pinned: a morphism's source before its
+# target, a composite's result before its factors, a separator before a
+# repeated name, and in a datum, read depth first, a hom key before its
+# datum and a node's own checks after its hom data.
+LOADER_ERRORS = [
+    ("morphism row", category_from_json, _retract_doc, [_drop("morphisms", 2, "tgt")],
+     "morphism #2: missing key 'tgt'"),
+    ("morphism object", category_from_json, _retract_doc,
+     [_put("morphisms", 3, "tgt", "q")], "morphism #3: unknown object 'q'"),
+    ("source before target", category_from_json, _retract_doc,
+     [_put("morphisms", 3, "src", "p"), _put("morphisms", 3, "tgt", "q")],
+     "morphism #3: unknown object 'p'"),
+    ("composition row", category_from_json, _retract_doc,
+     [_put("composition", 1, "equals", 3)], "composition #1: 'equals' must be a string"),
+    ("composition morphism", category_from_json, _retract_doc,
+     [_put("composition", 4, "then", "q")], "composition #4: unknown morphism 'q'"),
+    ("conflicting duplicate", category_from_json, _retract_doc,
+     [_put("composition", [{"first": "r", "then": "s", "equals": "e"},
+                           {"first": "r", "then": "s", "equals": "1b"}])],
+     "composition #1: conflicting duplicate for (first='r', then='s')"),
+    ("objects", category_from_json, _retract_doc, [_put("objects", 1, 7)],
+     "category: objects must be a list of strings"),
+    ("object names", category_from_json, _retract_doc, [_put("objects", ["a", "a"])],
+     "category: object names are not unique"),
+    ("morphism names", category_from_json, _retract_doc, [_put("morphisms", 4, "name", "r")],
+     "category: morphism names are not unique"),
+    ("hom row", bicat_from_json, _weak_z2_doc, [_drop("hom", "x|y", "morphisms", 1, "src")],
+     "morphism #1: missing key 'src'"),
+    ("one_cells", bicat_from_json, _weak_z2_doc,
+     [_drop("hcomp", "x|x|y", "one_cells", 0, "g")], "hcomp 'x|x|y' one_cells #0: missing key 'g'"),
+    ("composite before factors", bicat_from_json, _weak_z2_doc,
+     [_put("hcomp", "x|x|y", "one_cells", 0, "g", "p"),
+      _put("hcomp", "x|x|y", "one_cells", 0, "equals", "q")],
+     "hcomp 'x|x|y' one_cells #0: unknown 1-cell 'q'"),
+    ("two_cells", bicat_from_json, _weak_z2_doc,
+     [_put("hcomp", "y|x|y", "two_cells", 2, "alpha", None)],
+     "hcomp 'y|x|y' two_cells #2: 'alpha' must be a string"),
+    ("associators", bicat_from_json, _weak_z2_doc, [_put("associators", 0, "extra", 1)],
+     "associators #0: unknown keys ['extra']"),
+    ("unitors.left", bicat_from_json, _weak_z2_doc, [_put("unitors", "left", 0, "x")],
+     "unitors.left #0: expected an object"),
+    ("unitors.right", bicat_from_json, _weak_z2_doc, [_put("unitors", "right", 0, "f", 0)],
+     "unitors.right #0: 'f' must be a string"),
+    ("zero_cells", bicat_from_json, _weak_z2_doc, [_put("zero_cells", ["x", None])],
+     "bicategory: zero_cells must be a list of strings"),
+    ("zero-cell separator", bicat_from_json, _weak_z2_doc, [_put("zero_cells", ["x|", "y"])],
+     "bicategory: zero-cell names may not contain '|'"),
+    ("zero-cell names", bicat_from_json, _weak_z2_doc, [_put("zero_cells", ["x", "x"])],
+     "bicategory: zero-cell names are not unique"),
+    ("separator before repeats", bicat_from_json, _weak_z2_doc, [_put("zero_cells", ["x|", "x|"])],
+     "bicategory: zero-cell names may not contain '|'"),
+    ("cells", datum_from_json, _z2_datum_doc, [_put("cells", ["x", 3])],
+     "datum: cells must be a list of strings"),
+    ("cell separator", datum_from_json, _z2_datum_doc, [_put("hom", "x|y", "cells", ["*|"])],
+     "datum: cell names may not contain '|'"),
+    ("cell names", datum_from_json, _z2_datum_doc, [_put("cells", ["x", "x"])],
+     "datum: cell names are not unique"),
+    ("deep error first", datum_from_json, _z2_datum_doc,
+     [_put("hom", "x|x", "hom", "*|*", "size", -1), _put("hom", "x|y", "cells", 0)],
+     "datum: level 0 needs a nonnegative integer size"),
+    ("child checks first", datum_from_json, _z2_datum_doc,
+     [_put("hom", "x|y", "hom", {}), _drop("hom", "y|y")],
+     "missing hom datum for pair (0,0)"),
+    ("key before its datum", datum_from_json, _z2_datum_doc,
+     [_put("hom", "x|y", "hom", "*|q", {"level": -1})],
+     "datum hom: unknown zero-cell 'q' in key '*|q'"),
+]
+
+
+@pytest.mark.parametrize(
+    "load, base, edits, message",
+    [case[1:] for case in LOADER_ERRORS],
+    ids=[case[0] for case in LOADER_ERRORS],
+)
+def test_loader_errors_keep_their_wording(load, base, edits, message):
+    doc = base()
+    load(doc)
+    for edit in edits:
+        edit(doc)
+    with pytest.raises(FormatError) as exc:
+        load(doc)
+    assert str(exc.value) == message
+
+
 def test_datum_json_roundtrip():
     data = [
         EulerDatum(0, size=3),
@@ -476,6 +601,17 @@ def test_one_cell_towers_round_trip(levels):
     tower = _one_cell_tower(levels, 3)
     back = datum_from_json(json.loads(json.dumps(datum_to_json(tower))))
     # == on EulerDatum recurses once per level, so compare level by level
+    while tower.level:
+        assert (back.level, back.cells, list(back.hom)) == (tower.level, tower.cells, [(0, 0)])
+        tower, back = tower.hom[(0, 0)], back.hom[(0, 0)]
+    assert back == tower
+
+
+def test_datum_from_json_depth_is_not_bounded_by_recursion():
+    tower = _one_cell_tower(3000, 2)
+    back = datum_from_json(datum_to_json(tower))
+    res = chi_n(back)
+    assert res == chi_n(tower) and res.value == 2
     while tower.level:
         assert (back.level, back.cells, list(back.hom)) == (tower.level, tower.cells, [(0, 0)])
         tower, back = tower.hom[(0, 0)], back.hom[(0, 0)]

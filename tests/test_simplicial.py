@@ -191,6 +191,14 @@ def test_sset_json_round_trip_and_rejection():
         sset_from_json(doc)
 
 
+@pytest.mark.parametrize("dim", [1001, 2**63, 10**30])
+def test_sset_file_dim_is_capped(dim):
+    # d(d + 2) tables are built whatever the file holds, so a short file
+    # with a huge dim would exhaust memory
+    with pytest.raises(FormatError, match="^simplicial structure: dim must be at most 1000$"):
+        sset_from_json({"dim": dim})
+
+
 def test_identity_violations_are_reported_with_coordinates():
     doc = sset_to_json(standard_simplex(1, 2))
     doc["faces"]["2,0"]["0|0|1"] = "1|1"
