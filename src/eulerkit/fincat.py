@@ -36,14 +36,14 @@ def search_budget() -> int:
 
 
 def _node_counter(search: str):
-    """tick() for one call of the named search: it counts one node and
-    raises BudgetExceededError past the cap read here, once."""
+    """tick(count=1) for one call of the named search: it counts `count`
+    nodes and raises BudgetExceededError past the cap read here, once."""
     limit = search_budget()
     nodes = 0
 
-    def tick():
+    def tick(count=1):
         nonlocal nodes
-        nodes += 1
+        nodes += count
         if nodes > limit:
             raise BudgetExceededError(limit, search)
 

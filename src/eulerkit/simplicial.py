@@ -49,22 +49,37 @@ class TruncatedSSet:
         return [len(lvl) for lvl in self.simplices]
 
     @cached_property
-    def face_index(self) -> dict[tuple[int, int], dict[str, tuple[str, ...]]]:
-        """face_index[(n, i)][x] lists the level-n simplices whose i-th face
-        is x, in level order.
+    def face_index(self) -> dict[tuple[int, tuple[int, ...]], dict[tuple[str, ...], tuple[str, ...]]]:
+        """face_index[(n, indices)][faces] lists, in level order, the
+        level-n simplices s with (d_i s for i in indices) == faces.
 
-        Built on first use and kept on the instance; it is not a field, so
-        equality, repr and JSON interchange ignore it.
+        Each (n, indices) entry is built on its first lookup and kept; the
+        index lives on the instance and is not a field, so equality, repr
+        and JSON interchange ignore it.  Horn search, fillers and
+        filler_report all read it.
         """
-        index = {}
-        for n in range(1, self.dim + 1):
-            for i in range(n + 1):
-                table = self.face[(n, i)]
-                buckets: dict[str, list[str]] = {}
-                for s in self.simplices[n]:
-                    buckets.setdefault(table[s], []).append(s)
-                index[(n, i)] = {x: tuple(b) for x, b in buckets.items()}
-        return index
+        return _FaceIndex(self.simplices, self.face)
+
+
+class _FaceIndex(dict):
+    """The lazily filled dict behind TruncatedSSet.face_index."""
+
+    def __init__(self, simplices, face):
+        super().__init__()
+        self._simplices, self._face = simplices, face
+
+    def __missing__(self, key):
+        n, indices = key
+        level = self._simplices[n]
+        faces = (
+            zip(*[map(self._face[(n, i)].__getitem__, level) for i in indices])
+            if indices else itertools.repeat(())
+        )
+        buckets: dict[tuple[str, ...], list[str]] = {}
+        for f, s in zip(faces, level):
+            buckets.setdefault(f, []).append(s)
+        entry = self[key] = {f: tuple(b) for f, b in buckets.items()}
+        return entry
 
 
 def _required_keys(dim: int):
@@ -111,11 +126,46 @@ def _identity_equations(dim, simplices):
                               [("d", n, i - 1), ("s", n - 1, j)])]
 
 
+def _holds(dim, simplices, face, degeneracy) -> bool:
+    """Whether every table is total on its level into the right level and
+    every identity holds, decided on position lists: each table becomes the
+    list of its targets' positions, and each side of an identity is its
+    path's lists composed over the whole level."""
+    where = [{s: p for p, s in enumerate(level)} for level in simplices]
+    positions = {}
+    face_keys, deg_keys = _required_keys(dim)
+    for keys, tables, kind, shift in ((face_keys, face, "d", -1), (deg_keys, degeneracy, "s", 1)):
+        for n, i in keys:
+            table, level = tables.get((n, i), {}), simplices[n]
+            if len(table) != len(level):
+                return False
+            try:
+                positions[(kind, n, i)] = list(
+                    map(where[n + shift].__getitem__, map(table.__getitem__, level))
+                )
+            except KeyError:
+                return False
+
+    def image(path, size):
+        out = positions[path[0]] if path else list(range(size))
+        for step in path[1:]:
+            out = list(map(positions[step].__getitem__, out))
+        return out
+
+    return all(
+        image(lhs, len(simplices[n])) == image(rhs, len(simplices[n]))
+        for _, n, equations in _identity_equations(dim, simplices)
+        for _, _, lhs, rhs in equations
+    )
+
+
 def sset_violations(dim, simplices, face, degeneracy) -> list[str]:
     """Totality, level correctness, and the five simplicial identities.
 
     Shape problems (bad dimensions, duplicate ids, out-of-range table
-    keys) raise FormatError; everything else is reported as violations.
+    keys) raise FormatError.  A structure that passes is decided on
+    position lists and returns [] at once; otherwise the loops below walk
+    every table and simplex and are the only writers of violation text.
     """
     if dim < 0:
         raise FormatError("truncation dimension must be nonnegative")
@@ -132,6 +182,8 @@ def sset_violations(dim, simplices, face, degeneracy) -> list[str]:
         for key in tables:
             if key not in allowed:
                 raise FormatError(f"{kind} table key {key} out of range")
+    if _holds(dim, simplices, face, degeneracy):
+        return []
 
     v: list[str] = []
     level_sets = [set(level) for level in simplices]
@@ -256,13 +308,28 @@ def horn(n: int, k: int, dim: int = DEFAULT_DIM) -> TruncatedSSet:
 
 def nerve(cat: FinCat, dim: int = DEFAULT_DIM) -> TruncatedSSet:
     """Level m holds the composable m-paths; inner faces compose, outer
-    faces drop an end, degeneracies insert an identity."""
+    faces drop an end, degeneracies insert an identity.
+
+    Before anything is built, each level's simplices, structure-map tables
+    and table entries are counted against EULERKIT_BUDGET (see
+    fincat.search_budget); past it the call raises BudgetExceededError
+    naming nerve.
+    """
     if dim < 0:
         raise ValueError("truncation dimension must be nonnegative")
     if any("|" in o for o in cat.objects) or any(
         "|" in m.name for m in cat.morphisms
     ):
         raise FormatError("nerve ids join names with '|'; names may not contain it")
+    tick = _node_counter("nerve")
+    ends = [1] * len(cat.objects)  # the m-paths ending at each object, from m = 0
+    for m in range(dim + 1):
+        tables = (m + 1) * ((m > 0) + (m < dim))
+        tick(sum(ends) * (1 + tables) + tables)
+        after = [0] * len(cat.objects)
+        for f in cat.morphisms:
+            after[f.tgt] += ends[f.src]
+        ends = after
 
     # level 0 holds (object,), level m >= 1 the composable m-paths of arrows
     paths = [[(x,) for x in range(len(cat.objects))], [(f,) for f in range(len(cat.morphisms))]]
@@ -312,85 +379,61 @@ class HornInstance:
     faces: dict[int, str]
 
 
-def _matching(level, checks) -> list[str]:
-    """The simplices s of `level` with d_i s = want for every (d_i, index
-    of d_i, want) in checks, in level order: the smallest index bucket,
-    filtered by the other checks."""
-    bucket = level
-    for _, by_face, want in checks:
-        found = by_face.get(want, ())
-        if len(found) < len(bucket):
-            bucket = found
-    out = []
-    for s in bucket:
-        for d_i, _, want in checks:
-            if d_i[s] != want:
-                break
-        else:
-            out.append(s)
-    return out
+def _horn_search(sset: TruncatedSSet, n: int, k: int, materialise: bool):
+    """The (n, k)-horn families of sset as tuples of faces at the positions
+    other than k, in lexicographic level order, or only their number.
+
+    The search is breadth-first over positions: a family of faces at the
+    positions before j extends by the one face-index bucket of the s with
+    d_i s = d_{j-1} x_i for each earlier position i.  Every family, the
+    empty one included, is one node against EULERKIT_BUDGET (see
+    fincat.search_budget), ticked before it is built; the last position is
+    only counted unless materialise is set.
+    """
+    tick = _node_counter("enumerate_inner_horns")
+    level = sset.level(n - 1)
+    tick(1 + len(level))  # the empty family and the one-face families (position 0)
+    families = [(s,) for s in level]
+    positions = [i for i in range(n + 1) if i != k]
+    for idx, j in enumerate(positions[1:], 1):
+        index = sset.face_index[(n - 1, tuple(positions[:idx]))]
+        d_before = sset.face[(n - 1, j - 1)].__getitem__  # d_i x_j must be d_{j-1} x_i
+        buckets = [index.get(tuple(map(d_before, fam)), ()) for fam in families]
+        count = sum(map(len, buckets))
+        tick(count)
+        if idx == len(positions) - 1 and not materialise:
+            return count
+        families = [fam + (s,) for fam, bucket in zip(families, buckets) for s in bucket]
+    return families
 
 
 def enumerate_inner_horns(sset: TruncatedSSet, n: int, k: int) -> list[HornInstance]:
     """All (n, k)-horn instances in the structure, inner positions only.
 
-    Faces are chosen position by position.  A face s at position j fits
-    the face chosen at an earlier position i exactly when d_i s equals
-    d_{j-1} of that face, so the candidates at j are read from the face
-    index: the smallest of those buckets, filtered by the others, which
-    keeps level order.  Every call of the search counts as one node
-    against EULERKIT_BUDGET (see fincat.search_budget); past it the
-    search raises BudgetExceededError.
+    A family of faces x_j at the positions j other than k is an instance
+    when d_i x_j = d_{j-1} x_i for every pair of positions i < j.  The
+    search grows the families position by position; each extension is one
+    face-index lookup keyed by the wanted faces, so instances come out in
+    the lexicographic level order of their faces.  Past EULERKIT_BUDGET
+    nodes it raises BudgetExceededError naming enumerate_inner_horns.
     """
     if not 2 <= n <= sset.dim:
         raise ValueError("horn level must satisfy 2 <= n <= dim")
     if not 0 < k < n:
         raise ValueError("inner horns need 0 < k < n")
-    tick = _node_counter("enumerate_inner_horns")
     positions = [i for i in range(n + 1) if i != k]
-    level = sset.level(n - 1)
-    # per position j: (d_{j-1}, d_i, index of d_i) for each earlier position i
-    face, index = sset.face, sset.face_index
-    steps = [
-        [
-            (face[(n - 1, j - 1)], face[(n - 1, i)], index[(n - 1, i)])
-            for i in positions[:idx]
-        ]
-        for idx, j in enumerate(positions)
+    return [
+        HornInstance(n, k, dict(zip(positions, fam)))
+        for fam in _horn_search(sset, n, k, materialise=True)
     ]
-    out: list[HornInstance] = []
-    chosen: list[str] = []
-
-    def extend(idx):
-        tick()
-        if idx == len(positions):
-            out.append(HornInstance(n, k, dict(zip(positions, chosen))))
-            return
-        checks = [
-            (d_i, by_face, d_j[earlier])
-            for (d_j, d_i, by_face), earlier in zip(steps[idx], chosen)
-        ]
-        for s in _matching(level, checks):
-            chosen.append(s)
-            extend(idx + 1)
-            chosen.pop()
-
-    extend(0)
-    return out
 
 
 def fillers(sset: TruncatedSSet, instance: HornInstance) -> list[str]:
-    """The level-n simplices whose faces match the instance, in level order.
-
-    Candidates are the smallest face-index bucket among the instance's
-    faces, filtered by the rest.
-    """
-    n = instance.n
-    checks = [
-        (sset.face[(n, i)], sset.face_index[(n, i)], want)
-        for i, want in instance.faces.items()
-    ]
-    return _matching(sset.level(n), checks)
+    """The level-n simplices whose faces match the instance, in level order:
+    one face-index lookup."""
+    indices = tuple(sorted(instance.faces))
+    want = tuple(instance.faces[i] for i in indices)
+    return list(sset.face_index[(instance.n, indices)].get(want, ()))
 
 
 @dataclass(frozen=True)
@@ -416,28 +459,25 @@ class FillerReport:
 
 
 def filler_report(sset: TruncatedSSet) -> FillerReport:
+    """Instances, unfilled instances and instances with several fillers,
+    per inner horn (n, k) of levels 2..dim.
+
+    The instances are counted, not built, by the search behind
+    enumerate_inner_horns and under the same budget.  The walls (faces
+    other than k) of every level-n simplex form an (n, k) instance by the
+    simplicial identities, so the face-index entry keyed by the walls holds
+    the filled instances: its length is their number, and its buckets of
+    more than one simplex are the instances with several fillers.
+    """
     per: dict[tuple[int, int], HornStats] = {}
-    quasi = True
-    unique = True
     for n in range(2, sset.dim + 1):
-        tables = [sset.face[(n, i)] for i in range(n + 1)]
-        faces = [tuple(d[s] for d in tables) for s in sset.level(n)]
         for k in range(1, n):
-            instances = enumerate_inner_horns(sset, n, k)
-            # The walls (faces other than k) of every level-n simplex form an
-            # (n, k) horn instance by the simplicial identities, so the filled
-            # instances are exactly the distinct wall tuples.
-            by_walls: dict[tuple[str, ...], int] = {}
-            for f in faces:
-                key = f[:k] + f[k + 1:]
-                by_walls[key] = by_walls.get(key, 0) + 1
-            unfilled = len(instances) - len(by_walls)
-            multiple = sum(1 for count in by_walls.values() if count > 1)
-            per[(n, k)] = HornStats(len(instances), unfilled, multiple)
-            if unfilled:
-                quasi = False
-            if unfilled or multiple:
-                unique = False
+            instances = _horn_search(sset, n, k, materialise=False)
+            walls = sset.face_index[(n, tuple(i for i in range(n + 1) if i != k))]
+            multiple = sum(1 for bucket in walls.values() if len(bucket) > 1)
+            per[(n, k)] = HornStats(instances, instances - len(walls), multiple)
+    quasi = all(stats.unfilled == 0 for stats in per.values())
+    unique = all(stats.multiple == 0 for stats in per.values())
     return FillerReport(sset.dim, per, quasi, quasi and unique)
 
 

@@ -413,6 +413,15 @@ def test_installed_entry_point(tmp_path):
         _check_entry_point([exe], z3)
 
 
+def test_nerve_dim_is_capped_by_the_budget(tmp_path, capsys, monkeypatch):
+    # counted before anything is built: without the cap this ran out of memory
+    monkeypatch.delenv("EULERKIT_BUDGET", raising=False)
+    arrow = _write(tmp_path, "arrow.json", category_to_json(catalog.arrow()))
+    assert main(["nerve", arrow, "--dim", "100000"]) == 3
+    captured = capsys.readouterr()
+    assert "search budget of 10000000 nodes exceeded in nerve" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
 def test_horncheck_reads_a_structure_without_tables(tmp_path, capsys):
     path = _write(tmp_path, "empty.json", {"dim": 3})
     assert main(["horncheck", path]) == 0

@@ -1,5 +1,5 @@
-"""Mutated category and simplicial documents through the chi and chi-sset
-verbs.
+"""Mutated category and simplicial documents through the chi, chi-sset,
+horncheck and validate-sset verbs.
 
 Every outcome, however malformed the document, is an exit code 0-3 with a
 message and no traceback.  The documents are mutated at the JSON level:
@@ -57,7 +57,7 @@ def _run_mutated(data, tmp_path_factory, bases, verb, flags):
         _mutate(data, root)
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_text(text(root))
-    argv = [verb, str(path), *sorted(data.draw(st.sets(st.sampled_from(flags))))]
+    argv = [verb, str(path), *(sorted(data.draw(st.sets(st.sampled_from(flags)))) if flags else ())]
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -78,3 +78,15 @@ def test_chi_verb_survives_mutated_documents(tmp_path_factory, data):
 @given(data=st.data())
 def test_chi_sset_verb_survives_mutated_documents(tmp_path_factory, data):
     _run_mutated(data, tmp_path_factory, STRUCTURES, "chi-sset", ["--witness"])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_horncheck_verb_survives_mutated_documents(tmp_path_factory, data):
+    _run_mutated(data, tmp_path_factory, STRUCTURES, "horncheck", ["--unique"])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_sset_verb_survives_mutated_documents(tmp_path_factory, data):
+    _run_mutated(data, tmp_path_factory, STRUCTURES, "validate-sset", [])

@@ -322,6 +322,50 @@ def test_horn_enumeration_runs_under_the_budget(monkeypatch):
     assert len(enumerate_inner_horns(ner, 3, 1)) == path_totals(catalog.chain(3), 3)[3]
 
 
+
+# Nodes at which each search finishes, per (n, k) enumeration and for
+# filler_report (its largest search); the depth-first search the
+# breadth-first one replaced finished at the same counts.
+HORN_NODES = [
+    ("chain-3", lambda: nerve(catalog.chain(3), 3), {(2, 1): 17, (3, 1): 41, (3, 2): 46}, 46),
+    ("horn-4-2", lambda: horn(4, 2, 4), {(2, 1): 51, (3, 1): 176, (3, 2): 211,
+                                         (4, 1): 434, (4, 2): 493, (4, 3): 492}, 493),
+    ("duplicated-z2", lambda: _duplicated_z2(), {(2, 1): 7}, 7),
+]
+
+
+@pytest.mark.parametrize("build, per_horn, report_nodes", [case[1:] for case in HORN_NODES],
+                         ids=[case[0] for case in HORN_NODES])
+def test_horn_searches_finish_at_their_node_counts(monkeypatch, build, per_horn, report_nodes):
+    sset = build()
+
+    def finishes(search, budget):
+        monkeypatch.setenv("EULERKIT_BUDGET", str(budget))
+        try:
+            search()
+        except BudgetExceededError as exc:
+            assert exc.search == "enumerate_inner_horns"
+            return False
+        return True
+
+    for (n, k), nodes in per_horn.items():
+        assert finishes(lambda: enumerate_inner_horns(sset, n, k), nodes), (n, k)
+        assert not finishes(lambda: enumerate_inner_horns(sset, n, k), nodes - 1), (n, k)
+    assert finishes(lambda: filler_report(sset), report_nodes)
+    assert not finishes(lambda: filler_report(sset), report_nodes - 1)
+
+
+def test_nerve_counts_what_it_would_build_against_the_budget(monkeypatch):
+    # The walking arrow at dim 3 has 2, 3, 4, 5 simplices.  Level m has
+    # m + 1 face tables (m > 0) and m + 1 degeneracy tables (m < 3); each
+    # simplex, table and table entry is one unit: 5 + 19 + 34 + 29 = 87.
+    monkeypatch.setenv("EULERKIT_BUDGET", "87")
+    assert nerve(catalog.arrow(), 3).counts() == [2, 3, 4, 5]
+    monkeypatch.setenv("EULERKIT_BUDGET", "86")
+    with pytest.raises(BudgetExceededError) as caught:
+        nerve(catalog.arrow(), 3)
+    assert caught.value.search == "nerve"
+
 # --- exact reports and tables by definition ----------------------------------------
 
 # One changed entry of standard_simplex(2, 3) per identity, with the full
@@ -368,6 +412,20 @@ def test_each_identity_reports_its_exact_violations(number, edit, expected):
         sset_from_json(doc)
     assert exc.value.violations == expected
     assert any(v.startswith(f"identity {number} fails") for v in expected)
+
+
+def test_identity_5_can_fail_alone():
+    """A twin of the degenerate 2-simplex on a point, reached through s_1
+    only: identities 1-4 hold and s_0 s_0 differs from s_1 s_0, so only
+    identity 5 tells this structure from a simplicial set."""
+    doc = sset_to_json(standard_simplex(0, 2))
+    doc["simplices"]["2"].append("twin")
+    for i in range(3):
+        doc["faces"][f"2,{i}"]["twin"] = "0|0"
+    doc["degeneracies"]["1,1"]["0|0"] = "twin"
+    with pytest.raises(ValidationError) as exc:
+        sset_from_json(doc)
+    assert exc.value.violations == ["identity 5 fails at level 0, (i,j)=(0,0), simplex '0'"]
 
 
 def test_identity_3_reports_in_simplex_order():
@@ -562,3 +620,99 @@ def test_small_posets_chi_by_chains_nerve_and_reconstruction():
         want = hall_chi(leq)
         assert alternating == want
         assert chi_sset(ner).value == want
+
+
+# --- the verdict of sset_violations against a scan by definition -------------------
+
+
+def _holds_by_definition(dim, simplices, face, degeneracy):
+    """Every table total on its level into the right level, and the five
+    identities checked simplex by simplex as written."""
+    levels = [set(level) for level in simplices]
+    for n in range(dim + 1):
+        for i in range(n + 1):
+            for tables, target in ((face, n - 1), (degeneracy, n + 1)):
+                if 0 <= target <= dim:
+                    table = tables.get((n, i), {})
+                    if set(table) != levels[n] or not set(table.values()) <= levels[target]:
+                        return False
+
+    def d(i, x, n):
+        return face[(n, i)][x]
+
+    def s(j, x, n):
+        return degeneracy[(n, j)][x]
+
+    for n, level in enumerate(simplices):
+        for x in level:
+            for j in range(n + 1):
+                for i in range(j):  # d_i d_j = d_{j-1} d_i
+                    if n >= 2 and d(i, d(j, x, n), n - 1) != d(j - 1, d(i, x, n), n - 1):
+                        return False
+            if n == dim:
+                continue
+            for j in range(n + 1):
+                y = s(j, x, n)
+                for i in range(n + 2):
+                    if i < j:  # d_i s_j = s_{j-1} d_i
+                        want = s(j - 1, d(i, x, n), n - 1)
+                    elif i <= j + 1:  # d_j s_j = id = d_{j+1} s_j
+                        want = x
+                    else:  # d_i s_j = s_j d_{i-1}
+                        want = s(j, d(i - 1, x, n), n - 1)
+                    if d(i, y, n + 1) != want:
+                        return False
+                for i in range(j + 1):  # s_i s_j = s_{j+1} s_i
+                    if n + 1 < dim and s(i, y, n + 1) != s(j + 1, s(i, x, n), n + 1):
+                        return False
+    return True
+
+
+def _mutant_bases():
+    bases = [nerve(cat, dim) for cat in catalog.base_suite() for dim in (2, 3, 4)]
+    bases += [standard_simplex(n, dim) for n in range(4) for dim in range(1, 4)]
+    bases += [horn(n, k, dim) for n, k, dim in [(1, 0, 2), (2, 1, 2), (2, 0, 3), (3, 1, 3)]]
+    bases += [sset_product(standard_simplex(1, 2), nerve(catalog.arrow(), 2)),
+              sset_product(nerve(catalog.cyclic_group(2), 3), standard_simplex(1, 3))]
+    return [b for b in bases if sum(b.counts()) <= 100]  # keeps the scans quick
+
+
+MUTANT_EDITS = ("redirect", "wrong level", "delete", "add unknown")
+
+
+def mutant_corpus(cases, seed="eulerkit sset mutants"):
+    """(dim, simplices, face, degeneracy) with one table entry edited: sent
+    to a simplex of its target level (possibly the same one, so some stay
+    valid) or of another level, deleted, or added for an unknown simplex."""
+    rng = random.Random(seed)
+    bases = _mutant_bases()
+    for case in range(cases):
+        sset = bases[case % len(bases)]
+        edit = MUTANT_EDITS[case // len(bases) % len(MUTANT_EDITS)]
+        kind, shift = rng.choice([("face", -1), ("degeneracy", 1)])
+        tables = dict(getattr(sset, kind))
+        key = rng.choice(sorted(key for key in tables if edit == "add unknown" or sset.level(key[0])))
+        table = tables[key] = dict(tables[key])
+        target = sset.level(key[0] + shift)
+        elsewhere = [x for m, level in enumerate(sset.simplices)
+                     if m != key[0] + shift for x in level] or ["ghost"]
+        if edit == "add unknown":
+            table["ghost"] = rng.choice(target or ("ghost",))
+        else:
+            simplex = rng.choice(sset.level(key[0]))
+            if edit == "delete":
+                del table[simplex]
+            else:
+                table[simplex] = rng.choice(target if edit == "redirect" else elsewhere)
+        face = tables if kind == "face" else sset.face
+        degeneracy = tables if kind == "degeneracy" else sset.degeneracy
+        yield sset.dim, sset.simplices, face, degeneracy
+
+
+def test_violations_are_empty_exactly_when_a_scan_by_definition_passes():
+    verdicts = []
+    for case in mutant_corpus(1200):
+        ok = _holds_by_definition(*case)
+        assert (sset_violations(*case) == []) == ok, case[0]
+        verdicts.append(ok)
+    assert 0 < verdicts.count(True) < verdicts.count(False)
