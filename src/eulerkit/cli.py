@@ -40,15 +40,15 @@ from .higher import (
 from .magnitude import (
     adjacency,
     coweighting_solution,
+    euler_char,
     euler_of_matrix,
     weighting_solution,
 )
 from .qlinalg import QMatrix, format_rational
 from .simplicial import (
     DEFAULT_DIM,
-    classify_sset,
+    _classified,
     filler_report,
-    chi_sset,
     nerve,
     sset_from_json,
     sset_to_json,
@@ -181,13 +181,12 @@ def _cmd_horncheck(args) -> int:
 
 
 def _cmd_chi_sset(args) -> int:
-    sset = sset_from_json(_load_json(args.path))
-    kind = classify_sset(sset)
+    kind, cat = _classified(sset_from_json(_load_json(args.path)))  # one reconstruction
     print(f"kind = {kind}")
-    if kind == "other":
+    if cat is None:
         print("chi undefined: structure is not the nerve of a category")
         return 2
-    return _chi_report(chi_sset(sset), args.witness)
+    return _chi_report(euler_char(cat), args.witness)
 
 
 def build_parser() -> _Parser:

@@ -366,7 +366,15 @@ def bicat_euler_char(bicat: FinBicat) -> EulerResult:
 @dataclass(frozen=True)
 class EulerDatum:
     """Recursive hom-size data: level 0 is a set size, level n >= 1 is a
-    cell list with a level-(n-1) datum per ordered pair of cells."""
+    cell list with a level-(n-1) datum per ordered pair of cells.
+
+    A datum is a value: treat `hom` as read-only.  `datum_from_json`
+    shares equal sub-data, so one node may sit at many pairs, and an edit
+    through one of them would show at all of them.  `==` and `repr` walk
+    on an explicit stack, so depth is not limited by Python's recursion
+    limit; `==` compares each pair of nodes once and shared nodes not at
+    all.
+    """
 
     level: int
     size: int | None = None
@@ -402,6 +410,55 @@ class EulerDatum:
                         f"hom datum at ({i},{j}) has level {sub.level}, "
                         f"expected {self.level - 1}"
                     )
+
+    def __eq__(self, other):
+        """The dataclass comparison, field by field, down the hom data."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in compared:
+                continue
+            compared.add((id(a), id(b)))
+            if (a.level, a.size, a.cells) != (b.level, b.size, b.cells):
+                return False
+            if a.hom is None or b.hom is None:
+                if a.hom is not b.hom:
+                    return False
+                continue
+            if a.hom.keys() != b.hom.keys():
+                return False
+            for key, sub in a.hom.items():
+                other_sub = b.hom[key]
+                if isinstance(sub, EulerDatum) and other_sub.__class__ is sub.__class__:
+                    stack.append((sub, other_sub))
+                elif not (sub is other_sub or sub == other_sub):
+                    return False
+        return True
+
+    def __repr__(self):
+        """The dataclass repr, written from a stack of text and nodes."""
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            head = (f"{item.__class__.__qualname__}(level={item.level!r}, "
+                    f"size={item.size!r}, cells={item.cells!r}, hom=")
+            if item.hom is None:
+                out.append(head + "None)")
+                continue
+            parts = [head + "{"]
+            for k, (key, sub) in enumerate(item.hom.items()):
+                parts.append(f"{', ' if k else ''}{key!r}: ")
+                parts.append(sub if isinstance(sub, EulerDatum) else repr(sub))
+            parts.append("})")
+            stack.extend(reversed(parts))
+        return "".join(out)
 
 
 def datum_of_category(cat: FinCat) -> EulerDatum:
@@ -439,12 +496,14 @@ def chi_n(datum: EulerDatum) -> EulerResult:
     each node gets a structural key: (0, size) at level 0, and at level n
     the cell count with its hom data's keys in row-major order, interned
     to an int.  A memo from key to result lives for this one call, so
-    each distinct shape is solved once.  It holds existing results only:
-    the first hom datum without a characteristic raises at once, so the
-    error names the same pair, depth and path as a descent that solves
-    every occurrence, with cell names from the failing position.  The walk
-    is post-order on an explicit stack, so depth is not limited by
-    Python's recursion limit.
+    each distinct shape is solved once, and a second memo from node
+    identity to key and value, so a node shared at many pairs (as
+    `datum_from_json` shares equal sub-data) is walked once.  Both hold
+    existing results only: the first hom datum without a characteristic
+    raises at once, so the error names the same pair, depth and path as a
+    descent that solves every occurrence, with cell names from the failing
+    position.  The walk is post-order on an explicit stack, so depth is
+    not limited by Python's recursion limit.
     """
     if datum.level == 0:
         # Only a top-level set lists its elements' weights; past
@@ -460,6 +519,7 @@ def chi_n(datum: EulerDatum) -> EulerResult:
         )
     interned: dict[tuple, int] = {}
     memo: dict[int, EulerResult] = {}
+    walked: dict[int, tuple[int, Fraction]] = {}  # id(node) -> (key, chi)
     # frames [node, cell count, hom pairs taken, keys, chi values]
     stack = [[datum, len(datum.cells), 0, [], []]]
     while True:
@@ -468,11 +528,15 @@ def chi_n(datum: EulerDatum) -> EulerResult:
         if taken < n * n:
             frame[2] = taken + 1
             child = node.hom[divmod(taken, n)]
-            if child.level == 0:
-                keys.append(interned.setdefault((0, child.size), len(interned)))
-                values.append(Fraction(child.size))
-            else:
-                stack.append([child, len(child.cells), 0, [], []])
+            done = walked.get(id(child))
+            if done is None:
+                if child.level:
+                    stack.append([child, len(child.cells), 0, [], []])
+                    continue
+                done = walked[id(child)] = (
+                    interned.setdefault((0, child.size), len(interned)), Fraction(child.size))
+            keys.append(done[0])
+            values.append(done[1])
             continue
         key = interned.setdefault((n, tuple(keys)), len(interned))
         res = memo.get(key)
@@ -488,6 +552,7 @@ def chi_n(datum: EulerDatum) -> EulerResult:
                 path.append((node.cells[i], node.cells[j]))
             raise HomChiUndefinedError(path[-1], depth=len(path), path=path)
         memo[key] = res
+        walked[id(node)] = (key, res.value)
         stack[-1][3].append(key)
         stack[-1][4].append(res.value)
 
@@ -674,17 +739,22 @@ _DATUM_LEAF_KEYS = {"level": int, "size": int}
 _DATUM_KEYS = {"level": int, "cells": list, "hom": dict}
 
 
-def _datum_node(data, into, slot):
+def _datum_node(data, into, slot, shared):
     """Checks one node of a datum document: a level-0 datum is stored at
-    into[slot], and a positive level gives the frame that reads its hom."""
+    into[slot], the one of its size in `shared`, and a positive level gives
+    the frame that reads its hom."""
     level = data.get("level") if isinstance(data, dict) else None
     _check_keys(data, _DATUM_LEAF_KEYS if level == 0 else _DATUM_KEYS, "datum")
     if level < 0:
         raise FormatError("datum: level must be a nonnegative integer")
     if level == 0:
-        if data["size"] < 0:
+        size = data["size"]
+        if size < 0:
             raise FormatError("datum: level 0 needs a nonnegative integer size")
-        into[slot] = EulerDatum(0, size=data["size"])
+        leaf = shared.get(size)
+        if leaf is None:
+            leaf = shared[size] = EulerDatum(0, size=size)
+        into[slot] = leaf
         return None
     names = _names(data["cells"], "datum", "cells", "cell", bar=True)
     return into, slot, level, data["cells"], names, {}, iter(data["hom"].items())
@@ -692,20 +762,43 @@ def _datum_node(data, into, slot):
 
 def datum_from_json(data: dict) -> EulerDatum:
     """Decode on an explicit stack, so depth is not limited by recursion, in
-    the order of a recursive descent: each hom key before its datum."""
+    the order of a recursive descent: each hom key before its datum.
+
+    Equal sub-data come out as one object (hash-consing).  Every node is
+    checked as it is read; a complete node is then looked up in a table
+    that lives for this call only, a leaf by its size and a positive level
+    by its level, its cells and the identities of its hom data in
+    row-major order, so a repeated sub-document is built once and each
+    parent holds the same object.  A shared node keeps the hom order of
+    its first occurrence.
+    """
+    shared: dict = {}  # size, or (level, cells, hom data ids) -> node
+    pairs: dict[int, tuple] = {}  # cell count -> its pairs in row-major order
     out: dict = {}
-    frame = _datum_node(data, out, None)
+    frame = _datum_node(data, out, None, shared)
     stack = [frame] if frame else []
     while stack:
         into, slot, level, cells, names, hom, entries = stack[-1]
         for key, sub in entries:
-            frame = _datum_node(sub, hom, _split_key(key, 2, "datum hom", names))
+            frame = _datum_node(sub, hom, _split_key(key, 2, "datum hom", names), shared)
             if frame:
                 stack.append(frame)
                 break
         else:
             stack.pop()
-            into[slot] = EulerDatum(level, cells=tuple(cells), hom=hom)
+            cells = tuple(cells)
+            n = len(cells)
+            order = pairs.get(n)
+            if order is None:
+                order = pairs[n] = tuple((i, j) for i in range(n) for j in range(n))
+            if len(hom) == len(order):  # every pair, so the hom ids identify the node
+                key = (level, cells, tuple(map(id, map(hom.__getitem__, order))))
+                node = shared.get(key)
+                if node is None:
+                    node = shared[key] = EulerDatum(level, cells=cells, hom=hom)
+            else:  # a pair is missing: the constructor says which
+                node = EulerDatum(level, cells=cells, hom=hom)
+            into[slot] = node
     return out[None]
 
 

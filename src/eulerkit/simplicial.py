@@ -567,17 +567,23 @@ def sset_product(a: TruncatedSSet, b: TruncatedSSet) -> TruncatedSSet:
 # --- Euler characteristic by reconstruction --------------------------------------
 
 
-def classify_sset(sset: TruncatedSSet) -> str:
-    """One of 'empty', 'point', 'nerve', 'other'."""
+def _classified(sset: TruncatedSSet) -> tuple[str, FinCat | None]:
+    """classify_sset's verdict with the category it reconstructed, None
+    for 'other'."""
     if sset.dim < 2:
         raise ValueError("classification needs truncation dimension >= 2")
     try:
         cat = category_from_nerve(sset)
     except NotNerveShapedError:
-        return "other"
+        return "other", None
     if not cat.objects:
-        return "empty"
-    return "point" if len(cat.morphisms) == 1 else "nerve"
+        return "empty", cat
+    return "point" if len(cat.morphisms) == 1 else "nerve", cat
+
+
+def classify_sset(sset: TruncatedSSet) -> str:
+    """One of 'empty', 'point', 'nerve', 'other'."""
+    return _classified(sset)[0]
 
 
 def chi_sset(sset: TruncatedSSet) -> EulerResult:

@@ -254,6 +254,32 @@ def test_sset_verbs(tmp_path, capsys):
     assert "chi undefined: structure is not the nerve of a category" in out
 
 
+def test_chi_sset_reconstructs_the_category_once(tmp_path, capsys, monkeypatch):
+    import eulerkit.simplicial as simplicial
+
+    calls = []
+    rebuild = simplicial.category_from_nerve
+    monkeypatch.setattr(simplicial, "category_from_nerve",
+                        lambda sset: calls.append(sset) or rebuild(sset))
+    cases = [
+        (nerve(catalog.cyclic_group(3), 2), ["--witness"], 0,
+         ["kind = nerve", "chi = 1/3", "weighting = [1/3]", "coweighting = [1/3]"]),
+        (nerve(catalog.terminal_category(), 3), [], 0, ["kind = point", "chi = 1"]),
+        (nerve(catalog.empty_category(), 2), [], 0, ["kind = empty", "chi = 0"]),
+        (horn(2, 1, 2), [], 2,
+         ["kind = other", "chi undefined: structure is not the nerve of a category"]),
+    ]
+    for k, (sset, flags, code, lines) in enumerate(cases):
+        path = _write(tmp_path, f"s{k}.json", sset_to_json(sset))
+        assert main(["chi-sset", path, *flags]) == code
+        assert capsys.readouterr().out.splitlines() == lines
+        assert len(calls) == k + 1
+    # below dim 2 nothing is reconstructed, and the message is classify_sset's
+    assert main(["chi-sset", _write(tmp_path, "d1.json", {"dim": 1})]) == 3
+    assert capsys.readouterr().err.strip() == "classification needs truncation dimension >= 2"
+    assert len(calls) == len(cases)
+
+
 def test_usage_and_io_errors(tmp_path, capsys):
     assert main(["no-such-verb"]) == 3
     assert main(["chi", str(tmp_path / "absent.json")]) == 3

@@ -1,5 +1,5 @@
-"""Mutated category and simplicial documents through the chi, chi-sset,
-horncheck and validate-sset verbs.
+"""Mutated category and simplicial documents through the chi, equivalent,
+chi-sset, horncheck and validate-sset verbs.
 
 Every outcome, however malformed the document, is an exit code 0-3 with a
 message and no traceback.  The documents are mutated at the JSON level:
@@ -72,6 +72,26 @@ def _run_mutated(data, tmp_path_factory, bases, verb, flags):
 @given(data=st.data())
 def test_chi_verb_survives_mutated_documents(tmp_path_factory, data):
     _run_mutated(data, tmp_path_factory, CATEGORIES, "chi", ["--matrix", "--witness"])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_equivalent_verb_survives_mutated_documents(tmp_path_factory, data):
+    roots = [tree(data.draw(st.sampled_from(CATEGORIES))) for _ in range(2)]
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(data, data.draw(st.sampled_from(roots)))  # either file, or both
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = [folder / "a.json", folder / "b.json"]
+    for path, root in zip(paths, roots):
+        path.write_text(text(root))
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["equivalent", *map(str, paths)])
+    event(f"exit {code}")  # shown by --hypothesis-show-statistics
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert (err if code == 3 else out).getvalue().strip()
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

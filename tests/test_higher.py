@@ -618,6 +618,97 @@ def test_datum_from_json_depth_is_not_bounded_by_recursion():
     assert back == tower
 
 
+def test_datum_from_json_shares_equal_sub_data():
+    arrow = datum_to_json(bicat_to_datum(cat_as_bicat(catalog.arrow())))
+    copy = json.loads(json.dumps(arrow))
+    empty = {"level": 2, "cells": [], "hom": {}}
+    doc = {"level": 3, "cells": ["a", "b"],
+           "hom": {"a|a": arrow, "a|b": copy, "b|a": empty, "b|b": arrow}}
+    back = datum_from_json(doc)
+    # one dict object twice and an equal copy come out as one node
+    assert back.hom[(0, 0)] is back.hom[(0, 1)] is back.hom[(1, 1)]
+    assert back.hom[(1, 0)] == EulerDatum(2, cells=(), hom={})
+    # equal leaves deeper down are shared as well
+    a2 = back.hom[(0, 0)]
+    assert a2.hom[(0, 0)] != a2.hom[(1, 1)]  # cells 1x and 1y
+    assert a2.hom[(0, 0)].hom[(0, 0)] is a2.hom[(1, 1)].hom[(0, 0)] is a2.hom[(0, 1)].hom[(0, 0)]
+    # equal shapes under other names stay apart, and so do separate decodes
+    renamed = datum_from_json(datum_to_json(_renamed(a2, "r.")))
+    assert renamed != a2 and renamed.hom[(0, 0)].hom[(0, 0)] is not a2.hom[(0, 0)].hom[(0, 0)]
+    again = datum_from_json(doc)
+    assert again == back and again is not back and again.hom[(0, 0)] is not a2
+
+
+class _CountingHom(dict):
+    """A hom dict that counts its lookups."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_chi_n_walks_a_shared_node_once():
+    def susp2():
+        d = bicat_to_datum(catalog.suspension_z2())
+        return EulerDatum(2, cells=d.cells, hom=_CountingHom(d.hom))
+
+    shared = susp2()
+    tower = _square(3, ("a", "b", "c"), [shared] * 9)
+    copies = [susp2() for _ in range(9)]
+    res = chi_n(tower)
+    assert shared.hom.lookups == 4  # once down its 2 x 2 hom, not once per pair
+    assert chi_n(_square(3, ("a", "b", "c"), copies)) == res
+    assert [c.hom.lookups for c in copies] == [4] * 9  # equal copies are walked each
+    assert oracle_chi([[2] * 3] * 3) == (True, res.value)
+
+
+def test_euler_datum_repr_is_the_dataclass_repr():
+    leaf = EulerDatum(0, size=3)
+    one = EulerDatum(1, cells=("a", "b"), hom={(0, 0): leaf, (0, 1): EulerDatum(0, size=0),
+                                                (1, 0): leaf, (1, 1): leaf})
+    two = EulerDatum(2, cells=("x",), hom={(0, 0): EulerDatum(1, cells=(), hom={})})
+    assert repr(leaf) == "EulerDatum(level=0, size=3, cells=None, hom=None)"
+    assert repr(one) == (
+        "EulerDatum(level=1, size=None, cells=('a', 'b'), hom={"
+        "(0, 0): EulerDatum(level=0, size=3, cells=None, hom=None), "
+        "(0, 1): EulerDatum(level=0, size=0, cells=None, hom=None), "
+        "(1, 0): EulerDatum(level=0, size=3, cells=None, hom=None), "
+        "(1, 1): EulerDatum(level=0, size=3, cells=None, hom=None)})")
+    assert repr(two) == (
+        "EulerDatum(level=2, size=None, cells=('x',), hom={"
+        "(0, 0): EulerDatum(level=1, size=None, cells=(), hom={})})")
+
+
+def test_euler_datum_eq_and_repr_depth_is_not_bounded_by_recursion():
+    a, b = _one_cell_tower(3000, 2), _one_cell_tower(3000, 2)
+    assert a == b and not a != b
+    assert a != _one_cell_tower(3000, 1) and a != _one_cell_tower(2999, 2)
+    text = repr(a)
+    assert text.startswith("EulerDatum(level=3000, size=None, cells=('c3000',), hom={(0, 0): ")
+    assert text.endswith("EulerDatum(level=0, size=2, cells=None, hom=None)" + "})" * 3000)
+    assert text.count("EulerDatum(") == 3001
+    with pytest.raises(TypeError):
+        hash(a)
+    assert hash(EulerDatum(0, size=2)) == hash(EulerDatum(0, size=2))
+    assert a != "a" and (a == 3) is False
+
+
+def test_euler_datum_eq_compares_shared_sub_data_once():
+    def shared(levels, size):
+        node = EulerDatum(0, size=size)
+        for level in range(1, levels + 1):
+            node = _square(level, ("p", "q"), [node] * 4)
+        return node
+
+    # 4^60 paths down, but 61 distinct pairs of nodes to compare
+    assert shared(60, 2) == shared(60, 2)
+    assert shared(60, 2) != shared(60, 3)
+
+
 def _z2_two_group_doc(associator="gt"):
     """The 2-group with pi_1 = pi_2 = Z/2 whose associator is the cocycle
     xyz generating H^3(Z/2; Z/2): one zero-cell *, 1-cells e and t, each
